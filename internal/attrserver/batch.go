@@ -10,10 +10,12 @@ import (
 // into one computation and fans the result back out. The first query for a
 // key opens a batch and arms the window timer; queries landing before the
 // timer fires join the batch (counted as coalesced). When the window
-// closes, the batch executes through a singleflight group, so a batch
-// whose key is already being computed — opened after the previous batch
-// fired but before its computation finished — attaches to the in-flight
-// execution instead of starting a second one.
+// closes, the batch executes through a singleflight group. A batch leaves
+// pending when it fires, so a query that misses while its key is being
+// computed opens a second batch. That batch attaches to the computation
+// only if it is still running when the window closes; computations are
+// usually far shorter than the window, so it runs fn instead, and fn must
+// serve a result that landed meanwhile (Server.resolve checks the cache).
 type batcher struct {
 	window  time.Duration
 	flights *flightGroup

@@ -112,6 +112,22 @@ func (c *resultCache) get(key string) (any, bool) {
 	return ent.val, true
 }
 
+// peek returns the unexpired value cached under key without counting a
+// hit or a miss and without promoting it, for a query that already
+// counted its miss.
+func (c *resultCache) peek(key string) (any, bool) {
+	sh := c.shardOf(key)
+	now := c.now()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if el, ok := sh.items[key]; ok {
+		if ent := el.Value.(*cacheEntry); ent.expires.After(now) {
+			return ent.val, true
+		}
+	}
+	return nil, false
+}
+
 // put inserts (or replaces) a value with the given footprint and TTL, then
 // evicts from the LRU tail until the shard fits its budget. Entries larger
 // than a whole shard, and non-positive TTLs, are not cached.

@@ -28,15 +28,21 @@ import (
 //
 // Both engines guarantee bitwise identity with a fresh rebuild, so a
 // delta answer is indistinguishable from the full computation the GET
-// endpoints would run — the differential tests pin this. A commit swaps
-// the server's schedule snapshot and patches the result cache under the
-// new fingerprint with answers derived from the already-patched engines,
-// so the next full-window GET for any standard method is a cache hit
-// instead of an eviction-triggered recomputation.
+// endpoints would run — the differential tests pin this. A what-if
+// patches, and then reverts, only the engine its method reads: the signal
+// for fair-co2, the table for ground-truth, and neither for rup and
+// demand-proportional, which are answered from the schedule alone. A
+// skipped engine is never read and stays in step with the committed
+// schedule, and the what-if's delta block reports zero work for it. A
+// commit patches both engines, swaps the server's schedule snapshot and
+// patches the result cache under the new fingerprint with answers derived
+// from them, so the next full-window GET for any standard method is a
+// cache hit instead of an eviction-triggered recomputation.
 
 // deltaEngine owns a mutable clone of the serving schedule plus the two
-// incremental engines kept consistent with it. All mutation happens under
-// mu; what-if queries apply, answer, and revert while holding it.
+// incremental engines, both consistent with it between requests. All
+// mutation happens under mu; what-if queries apply, answer, and revert
+// while holding it.
 type deltaEngine struct {
 	mu     sync.Mutex
 	budget units.GramsCO2e
@@ -81,24 +87,49 @@ func (e *deltaEngine) game() (add, remove func(int), value func() float64) {
 	return attribution.DemandPeakGame(e.sched)
 }
 
+// engines selects the delta engines an apply patches.
+type engines uint8
+
+const (
+	patchSignal engines = 1 << iota // temporal.SignalDelta, read by fair-co2
+	patchTable                      // shapley.DeltaTable, read by ground-truth
+)
+
+// enginesFor returns the engines an edit must patch. A commit patches
+// both, because commitLocked warms every method from them; a what-if
+// patches only the one its method reads.
+func enginesFor(method string, commit bool) engines {
+	switch {
+	case commit:
+		return patchSignal | patchTable
+	case method == MethodFairCO2:
+		return patchSignal
+	case method == MethodGroundTruth:
+		return patchTable
+	}
+	return 0
+}
+
 // applyLocked installs workload w (replacing the one with its ID) and
-// patches both engines through their delta paths. On error the schedule
-// and engines are rolled back to the pre-call state. Callers hold e.mu.
-func (e *deltaEngine) applyLocked(w schedule.Workload) (temporal.DeltaStats, shapley.DeltaStats, error) {
+// patches the selected engines through their delta paths. On error the
+// schedule and engines are rolled back to the pre-call state. Callers
+// hold e.mu.
+func (e *deltaEngine) applyLocked(w schedule.Workload, patch engines) (tstats temporal.DeltaStats, sstats shapley.DeltaStats, err error) {
 	old := e.sched.Workloads[w.ID]
 	e.sched.Workloads[w.ID] = w
-	tstats, err := e.sig.Update(e.sched.Demand())
-	if err != nil {
-		e.sched.Workloads[w.ID] = old
-		return temporal.DeltaStats{}, shapley.DeltaStats{}, err
-	}
-	var sstats shapley.DeltaStats
-	if e.dt != nil {
-		sstats, err = e.dt.ApplyIncremental(1<<uint(w.ID), e.game, e.par)
-		if err != nil {
+	if patch&patchSignal != 0 {
+		if tstats, err = e.sig.Update(e.sched.Demand()); err != nil {
 			e.sched.Workloads[w.ID] = old
-			if _, rerr := e.sig.Update(e.sched.Demand()); rerr != nil {
-				err = errors.Join(err, rerr)
+			return temporal.DeltaStats{}, shapley.DeltaStats{}, err
+		}
+	}
+	if patch&patchTable != 0 && e.dt != nil {
+		if sstats, err = e.dt.ApplyIncremental(1<<uint(w.ID), e.game, e.par); err != nil {
+			e.sched.Workloads[w.ID] = old
+			if patch&patchSignal != 0 {
+				if _, rerr := e.sig.Update(e.sched.Demand()); rerr != nil {
+					err = errors.Join(err, rerr)
+				}
 			}
 			return temporal.DeltaStats{}, shapley.DeltaStats{}, err
 		}
@@ -107,11 +138,12 @@ func (e *deltaEngine) applyLocked(w schedule.Workload) (temporal.DeltaStats, sha
 }
 
 // answerLocked derives a full-window answer for a standard method from
-// the patched engines. It is bitwise-identical to what compute() would
-// produce for the same schedule under static pricing: the full-window
-// prorated budget equals the configured budget exactly, the delta table
-// equals a fresh coalition table, and the delta signal equals a fresh
-// intensity signal. Callers hold e.mu.
+// the engine it reads, which the caller has patched. It is
+// bitwise-identical to what compute() would produce for the same schedule
+// under static pricing: the full-window prorated budget equals the
+// configured budget exactly, the delta table equals a fresh coalition
+// table, and the delta signal equals a fresh intensity signal. Callers
+// hold e.mu.
 func (e *deltaEngine) answerLocked(method string, now time.Time) (*answer, error) {
 	var grams []float64
 	var err error
@@ -209,9 +241,9 @@ func (s *Server) handleDemandDelta(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// applyDelta validates the requested change, patches the engines, answers
-// over the full window, and either reverts (what-if) or commits. The
-// returned int is the HTTP status to use when err is non-nil.
+// applyDelta validates the requested change, patches the engines the edit
+// needs, answers over the full window, and either reverts (what-if) or
+// commits. The returned int is the HTTP status to use when err is non-nil.
 func (s *Server) applyDelta(req deltaRequest) (*deltaResponse, int, error) {
 	method := req.Method
 	if method == "" {
@@ -244,13 +276,14 @@ func (s *Server) applyDelta(req deltaRequest) (*deltaResponse, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 
-	tstats, sstats, err := e.applyLocked(mod)
+	patch := enginesFor(method, req.Commit)
+	tstats, sstats, err := e.applyLocked(mod, patch)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 	ans, err := e.answerLocked(method, s.cfg.Now())
 	if err != nil {
-		if _, _, rerr := e.applyLocked(old); rerr != nil {
+		if _, _, rerr := e.applyLocked(old, patch); rerr != nil {
 			err = errors.Join(err, rerr)
 		}
 		return nil, http.StatusBadRequest, err
@@ -258,7 +291,7 @@ func (s *Server) applyDelta(req deltaRequest) (*deltaResponse, int, error) {
 	fp := configFingerprint(e.sched, s.cfg.Budget)
 	if req.Commit {
 		s.commitLocked(e, fp, method, ans)
-	} else if _, _, rerr := e.applyLocked(old); rerr != nil {
+	} else if _, _, rerr := e.applyLocked(old, patch); rerr != nil {
 		return nil, http.StatusInternalServerError, fmt.Errorf("attrserver: reverting what-if: %w", rerr)
 	}
 

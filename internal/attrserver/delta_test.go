@@ -3,12 +3,15 @@ package attrserver
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"fairco2/internal/attribution"
+	"fairco2/internal/metrics"
 	"fairco2/internal/schedule"
 	"fairco2/internal/units"
 )
@@ -100,26 +103,160 @@ func TestDeltaWhatIfMatchesFreshComputation(t *testing.T) {
 	}
 }
 
-// TestDeltaStatsCounts checks the reported delta work: one changed
-// tenant out of n=4 affects exactly 2^4 - 2^3 = 8 coalitions, and the
-// temporal period counters cover the top level.
+// TestDeltaStatsCounts checks the reported delta work per edit kind. A
+// what-if patches only the engine its method reads: for ground-truth, one
+// changed tenant out of n=4 re-evaluates exactly 2^4 - 2^3 = 8 coalitions
+// over the table's 16 blocks; for fair-co2 the temporal counters cover the
+// 8 top-level periods; rup and demand-proportional read neither engine. A
+// commit patches both, since it warms every method's answer from them.
 func TestDeltaStatsCounts(t *testing.T) {
-	srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
+	cases := []struct {
+		name                        string
+		method                      string
+		commit                      bool
+		coalitions, blocks, periods int
+	}{
+		{name: "whatif-ground-truth", method: MethodGroundTruth, coalitions: 8, blocks: 16},
+		{name: "whatif-fair-co2", method: MethodFairCO2, periods: 8},
+		{name: "whatif-rup", method: MethodRUP},
+		{name: "whatif-demand-proportional", method: MethodDemandProportional},
+		{name: "commit", method: MethodFairCO2, commit: true, coalitions: 8, blocks: 16, periods: 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			var resp deltaResponse
+			req := deltaRequest{Tenant: 2, Cores: intp(9), Method: tc.method, Commit: tc.commit}
+			if code := postDelta(t, ts.URL, req, &resp); code != http.StatusOK {
+				t.Fatalf("status %d", code)
+			}
+			d := resp.Delta
+			if d.ShapleyCoalitions != tc.coalitions {
+				t.Errorf("coalitions re-evaluated = %d, want %d", d.ShapleyCoalitions, tc.coalitions)
+			}
+			if got := d.ShapleyBlocksRecomputed + d.ShapleyBlocksSkipped; got != tc.blocks {
+				t.Errorf("shapley blocks sum to %d, want %d", got, tc.blocks)
+			}
+			if got := d.PeriodsRecomputed + d.PeriodsSkipped; got != tc.periods {
+				t.Errorf("temporal periods sum to %d, want %d", got, tc.periods)
+			}
+		})
+	}
+}
+
+// deltaApplies reads fairco2_shapley_delta_applies_total, the count of
+// coalition-table patches, from the process-wide registry.
+func deltaApplies(t *testing.T) float64 {
+	t.Helper()
+	for _, f := range metrics.Default().Gather() {
+		if f.Name == "fairco2_shapley_delta_applies_total" && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatal("fairco2_shapley_delta_applies_total is not registered")
+	return 0
+}
+
+// randomEdit draws a valid single-tenant change to s: new cores, a new
+// start or a new duration.
+func randomEdit(rng *rand.Rand, s *schedule.Schedule) deltaRequest {
+	tenant := rng.Intn(len(s.Workloads))
+	w := s.Workloads[tenant]
+	req := deltaRequest{Tenant: tenant}
+	switch rng.Intn(3) {
+	case 0:
+		choices := schedule.DefaultGeneratorConfig().CoreChoices
+		req.Cores = intp(choices[rng.Intn(len(choices))])
+	case 1:
+		req.Start = intp(rng.Intn(s.Slices - w.Duration + 1))
+	default:
+		req.Duration = intp(1 + rng.Intn(s.Slices-w.Start))
+	}
+	return req
+}
+
+// applyEdit returns a copy of s with req's change installed.
+func applyEdit(s *schedule.Schedule, req deltaRequest) *schedule.Schedule {
+	c := cloneSchedule(s)
+	w := &c.Workloads[req.Tenant]
+	if req.Cores != nil {
+		w.Cores = *req.Cores
+	}
+	if req.Start != nil {
+		w.Start = *req.Start
+	}
+	if req.Duration != nil {
+		w.Duration = *req.Duration
+	}
+	return c
+}
+
+// TestDeltaMixedMethodSequenceStaysBitwise interleaves what-ifs of every
+// method with commits on a generated schedule. A what-if patches only the
+// engine its method reads, so the other must stay in step with the
+// committed schedule: every what-if answer, and every full-window GET
+// after a commit, must equal a fresh computation bit for bit, and what-ifs
+// that do not read the coalition table must not patch it.
+func TestDeltaMixedMethodSequenceStaysBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	gen := schedule.DefaultGeneratorConfig()
+	gen.MaxWorkloads = 12
+	var committed *schedule.Schedule
+	for committed == nil || len(committed.Workloads) < gen.MaxWorkloads {
+		var err error
+		if committed, err = schedule.Generate(gen, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, _ := newTestServer(t, nil, func(c *Config) {
+		c.Schedule = cloneSchedule(committed)
+		c.EnableDelta = true
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var resp deltaResponse
-	if code := postDelta(t, ts.URL, deltaRequest{Tenant: 2, Cores: intp(9)}, &resp); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if resp.Delta.ShapleyCoalitions != 8 {
-		t.Fatalf("coalitions re-evaluated = %d, want 8", resp.Delta.ShapleyCoalitions)
-	}
-	if got := resp.Delta.ShapleyBlocksRecomputed + resp.Delta.ShapleyBlocksSkipped; got != 16 {
-		t.Fatalf("shapley blocks sum to %d, want 16", got)
-	}
-	if got := resp.Delta.PeriodsRecomputed + resp.Delta.PeriodsSkipped; got != 8 {
-		t.Fatalf("temporal periods sum to %d, want 8 (one per slice)", got)
+	methods := []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional}
+	const whatifs, commitEvery = 240, 4
+	for i, done := 0, 0; done < whatifs; i++ {
+		req := randomEdit(rng, committed)
+		req.Commit = i%(commitEvery+1) == commitEvery
+		if req.Commit {
+			req.Method = methods[rng.Intn(len(methods))]
+		} else {
+			req.Method = methods[done%len(methods)]
+			done++
+		}
+		edited := applyEdit(committed, req)
+		label := fmt.Sprintf("edit %d %s commit=%v", i, req.Method, req.Commit)
+
+		before := deltaApplies(t)
+		var resp deltaResponse
+		if code := postDelta(t, ts.URL, req, &resp); code != http.StatusOK {
+			t.Fatalf("%s: status %d", label, code)
+		}
+		requireGramsBits(t, label, directAttribution(t, req.Method, edited, 1000), resp.Attribution)
+		wantPatches := 0.0
+		switch {
+		case req.Commit:
+			wantPatches = 1
+		case req.Method == MethodGroundTruth:
+			wantPatches = 2 // apply and revert
+		}
+		if got := deltaApplies(t) - before; got != wantPatches {
+			t.Fatalf("%s: %v coalition-table patches, want %v", label, got, wantPatches)
+		}
+		if !req.Commit {
+			continue
+		}
+		committed = edited
+		for _, m := range methods {
+			var q queryResponse
+			getJSON(t, ts.URL+"/v1/attribution?method="+m, &q)
+			requireGramsBits(t, label+" then GET "+m, directAttribution(t, m, committed, 1000), q.Attribution)
+		}
 	}
 }
 

@@ -210,6 +210,75 @@ func TestConcurrentMixedTenantsShareOneComputation(t *testing.T) {
 	}
 }
 
+// TestLateMissServesCachedAnswer pins the second-generation batch: a
+// query that misses while its key is being computed opens a new batch,
+// and when that batch fires after the computation has cached its answer,
+// it serves the cached answer (counted as coalesced, not as a second
+// miss) instead of computing it again.
+func TestLateMissServesCachedAnswer(t *testing.T) {
+	gated := newGatedMethod(attribution.GroundTruth{Parallelism: 1})
+	srv, _ := newTestServer(t, nil, func(c *Config) {
+		// Long enough that the second batch fires well after the released
+		// computation has cached its answer.
+		c.BatchWindow = 100 * time.Millisecond
+		c.Methods = map[string]attribution.Method{"gated": gated}
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	url := ts.URL + "/v1/attribution?method=gated&period=0:6"
+
+	bodies := make([]string, 2)
+	var wg sync.WaitGroup
+	get := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("query %d: status %d\n%s", i, resp.StatusCode, b)
+			}
+			bodies[i] = string(b)
+		}()
+	}
+	get(0)
+	<-gated.started // the first batch fired; its computation is held open
+	get(1)
+	// The second query misses the cache, then opens its own batch.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.inst.CacheMisses.Value() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("cache misses = %v after 10s, want 2", srv.inst.CacheMisses.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gated.release)
+	wg.Wait()
+
+	if bodies[1] != bodies[0] {
+		t.Errorf("late query body differs:\n%s\nvs\n%s", bodies[1], bodies[0])
+	}
+	if got := gated.calls.Load(); got != 1 {
+		t.Errorf("underlying method ran %d times, want 1", got)
+	}
+	text := scrape(t, ts.URL+"/metrics")
+	for series, want := range map[string]float64{
+		`fairco2_attrserver_computations_total{replica="0",method="gated"}`: 1,
+		`fairco2_attrserver_coalesced_total{replica="0"}`:                   1,
+		`fairco2_attrserver_cache_misses_total{replica="0"}`:                2,
+		`fairco2_attrserver_cache_hits_total{replica="0"}`:                  0,
+	} {
+		if got := metricValue(t, text, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+}
+
 // scrape fetches a URL and returns its body as text.
 func scrape(t *testing.T, url string) string {
 	t.Helper()

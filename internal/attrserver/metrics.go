@@ -25,7 +25,7 @@ type Instruments struct {
 	CacheEvictions *metrics.Counter
 	// Coalesced counts queries served by a computation they did not
 	// trigger: joins of a pending batch plus batches that attached to an
-	// already-in-flight computation.
+	// already-in-flight computation or found its answer cached on firing.
 	Coalesced *metrics.Counter
 	// Computations counts underlying attribution computations by method —
 	// the denominator that proves coalescing works, and, summed across

@@ -260,7 +260,18 @@ func (s *Server) resolve(ctx context.Context, q querySpec) (*answer, error) {
 	if v, ok := s.cache.get(key); ok {
 		return v.(*answer), nil
 	}
-	v, err := s.batch.Do(ctx, key, func() (any, error) { return s.compute(st, q, key) })
+	v, err := s.batch.Do(ctx, key, func() (any, error) {
+		// A query that missed while this key was being computed opened a
+		// later batch, which usually fires after that computation has
+		// cached its answer: serve it instead of computing it again. The
+		// check runs inside the flight, and a computation caches before
+		// it leaves the flight group, so it is either joined or found.
+		if v, ok := s.cache.peek(key); ok {
+			s.inst.Coalesced.Inc()
+			return v, nil
+		}
+		return s.compute(st, q, key)
+	})
 	if err != nil {
 		return nil, err
 	}
