@@ -84,7 +84,7 @@ type daemonConfig struct {
 	// Parallelism is forwarded to the Shapley engines.
 	Parallelism int
 	// Delta serves POST /v1/demand/delta: what-if and committed demand
-	// updates answered incrementally by the delta engines.
+	// updates, answered over the full window by the standard methods.
 	Delta bool
 
 	// Serving knobs, forwarded to attrserver.Config.
@@ -235,7 +235,7 @@ func main() {
 		maxWl    = flag.Int("max-workloads", def.MaxWorkloads, "generated schedule workload cap")
 		budget   = flag.Float64("budget", float64(def.Budget), "embodied budget over the schedule window (gCO2e)")
 		workers  = flag.Int("parallelism", def.Parallelism, "Shapley engine workers (0 auto, 1 serial)")
-		deltaOn  = flag.Bool("delta", def.Delta, "serve POST /v1/demand/delta what-if and commit queries via the incremental delta engines")
+		deltaOn  = flag.Bool("delta", def.Delta, "serve POST /v1/demand/delta what-if and commit demand updates")
 		cacheB   = flag.Int64("cache-bytes", def.CacheBytes, "result cache byte budget")
 		cacheTTL = flag.Duration("cache-ttl", def.CacheTTL, "result lifetime (fresh signal or static budget)")
 		window   = flag.Duration("batch-window", def.BatchWindow, "batching window gathering queries into one computation")

@@ -159,8 +159,7 @@ func (m GroundTruth) AttributeCheckpointed(ctx context.Context, s *schedule.Sche
 }
 
 // NormalizeShares scales nonnegative Shapley values to sum to budget —
-// the final step shared by every Shapley-backed method (and the delta
-// query service, which re-derives shares from patched tables).
+// the final step shared by every Shapley-backed method.
 func NormalizeShares(phi []float64, budget units.GramsCO2e) ([]float64, error) {
 	total := 0.0
 	for _, v := range phi {
@@ -256,8 +255,7 @@ func (m TemporalShapley) Attribute(s *schedule.Schedule, budget units.GramsCO2e)
 
 // AttributeByIntensity integrates each workload's usage against a carbon
 // intensity signal: workload i pays sum_t cores_i(t) * intensity(t) * dt.
-// It is the common back half of every intensity-based method, exported so
-// the delta query service can re-attribute under a patched signal.
+// It is the common back half of every intensity-based method.
 func AttributeByIntensity(s *schedule.Schedule, intensity *timeseries.Series) ([]float64, error) {
 	attr := make([]float64, len(s.Workloads))
 	for i, w := range s.Workloads {

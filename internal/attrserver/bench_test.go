@@ -12,20 +12,20 @@ import (
 	"fairco2/internal/schedule"
 )
 
-// benchSchedule is the first schedule.Generate draw (seed 1, the paper's
-// 22-workload cap) with 12 workloads over 7 slices: the median shape of
-// the served-path benchmark's decks.
-func benchSchedule(b *testing.B) *schedule.Schedule {
-	b.Helper()
+// firstDraw returns the first schedule.Generate draw (seed 1, the paper's
+// 22-workload cap) with the given workload count and, when slices is
+// positive, that many slices.
+func firstDraw(tb testing.TB, workloads, slices int) *schedule.Schedule {
+	tb.Helper()
 	gen := schedule.DefaultGeneratorConfig()
 	gen.MaxWorkloads = 22
 	rng := rand.New(rand.NewSource(1))
 	for {
 		s, err := schedule.Generate(gen, rng)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if len(s.Workloads) == 12 && s.Slices == 7 {
+		if len(s.Workloads) == workloads && (slices <= 0 || s.Slices == slices) {
 			return s
 		}
 	}
@@ -33,38 +33,38 @@ func benchSchedule(b *testing.B) *schedule.Schedule {
 
 // BenchmarkDeltaEdit times one POST /v1/demand/delta through
 // Server.Handler() with the daemon's defaults, without sockets: a
-// fair-co2 what-if, a ground-truth what-if and a commit. Each iteration
+// fair-co2 what-if, a ground-truth what-if and a commit on a 12-workload,
+// 7-slice schedule, the median shape of the served-path benchmark's decks,
+// and a commit on its largest, 17 workloads over 9 slices. Each iteration
 // alternates tenant 0 between two core counts, neither its initial one,
 // so every iteration changes the schedule.
 func BenchmarkDeltaEdit(b *testing.B) {
-	sched := benchSchedule(b)
-	var cores []int
-	for _, c := range schedule.DefaultGeneratorConfig().CoreChoices {
-		if c != sched.Workloads[0].Cores && len(cores) < 2 {
-			cores = append(cores, c)
-		}
-	}
+	median, largest := firstDraw(b, 12, 7), firstDraw(b, 17, 9)
 	cases := []struct {
 		name, method string
 		commit       bool
+		sched        *schedule.Schedule
 	}{
-		{"whatif-fair-co2", MethodFairCO2, false},
-		{"whatif-ground-truth", MethodGroundTruth, false},
-		{"commit", MethodFairCO2, true},
+		{"whatif-fair-co2", MethodFairCO2, false, median},
+		{"whatif-ground-truth", MethodGroundTruth, false, median},
+		{"commit", MethodFairCO2, true, median},
+		{"commit-17x9", MethodFairCO2, true, largest},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := DefaultConfig()
-			cfg.Schedule = sched
+			cfg.Schedule = tc.sched
 			cfg.Budget = 1000
 			srv, err := New(cfg, metrics.NewRegistry())
 			if err != nil {
 				b.Fatal(err)
 			}
 			h := srv.Handler()
-			var bodies [2][]byte
-			for i, c := range cores {
-				bodies[i] = []byte(fmt.Sprintf(`{"tenant":0,"cores":%d,"method":%q,"commit":%v}`, c, tc.method, tc.commit))
+			var bodies [][]byte
+			for _, c := range schedule.DefaultGeneratorConfig().CoreChoices {
+				if c != tc.sched.Workloads[0].Cores && len(bodies) < 2 {
+					bodies = append(bodies, []byte(fmt.Sprintf(`{"tenant":0,"cores":%d,"method":%q,"commit":%v}`, c, tc.method, tc.commit)))
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 
 	"fairco2/internal/attribution"
@@ -103,63 +105,6 @@ func TestDeltaWhatIfMatchesFreshComputation(t *testing.T) {
 	}
 }
 
-// TestDeltaStatsCounts checks the reported delta work per edit kind. A
-// what-if patches only the engine its method reads: for ground-truth, one
-// changed tenant out of n=4 re-evaluates exactly 2^4 - 2^3 = 8 coalitions
-// over the table's 16 blocks; for fair-co2 the temporal counters cover the
-// 8 top-level periods; rup and demand-proportional read neither engine. A
-// commit patches both, since it warms every method's answer from them.
-func TestDeltaStatsCounts(t *testing.T) {
-	cases := []struct {
-		name                        string
-		method                      string
-		commit                      bool
-		coalitions, blocks, periods int
-	}{
-		{name: "whatif-ground-truth", method: MethodGroundTruth, coalitions: 8, blocks: 16},
-		{name: "whatif-fair-co2", method: MethodFairCO2, periods: 8},
-		{name: "whatif-rup", method: MethodRUP},
-		{name: "whatif-demand-proportional", method: MethodDemandProportional},
-		{name: "commit", method: MethodFairCO2, commit: true, coalitions: 8, blocks: 16, periods: 8},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-
-			var resp deltaResponse
-			req := deltaRequest{Tenant: 2, Cores: intp(9), Method: tc.method, Commit: tc.commit}
-			if code := postDelta(t, ts.URL, req, &resp); code != http.StatusOK {
-				t.Fatalf("status %d", code)
-			}
-			d := resp.Delta
-			if d.ShapleyCoalitions != tc.coalitions {
-				t.Errorf("coalitions re-evaluated = %d, want %d", d.ShapleyCoalitions, tc.coalitions)
-			}
-			if got := d.ShapleyBlocksRecomputed + d.ShapleyBlocksSkipped; got != tc.blocks {
-				t.Errorf("shapley blocks sum to %d, want %d", got, tc.blocks)
-			}
-			if got := d.PeriodsRecomputed + d.PeriodsSkipped; got != tc.periods {
-				t.Errorf("temporal periods sum to %d, want %d", got, tc.periods)
-			}
-		})
-	}
-}
-
-// deltaApplies reads fairco2_shapley_delta_applies_total, the count of
-// coalition-table patches, from the process-wide registry.
-func deltaApplies(t *testing.T) float64 {
-	t.Helper()
-	for _, f := range metrics.Default().Gather() {
-		if f.Name == "fairco2_shapley_delta_applies_total" && len(f.Samples) == 1 {
-			return f.Samples[0].Value
-		}
-	}
-	t.Fatal("fairco2_shapley_delta_applies_total is not registered")
-	return 0
-}
-
 // randomEdit draws a valid single-tenant change to s: new cores, a new
 // start or a new duration.
 func randomEdit(rng *rand.Rand, s *schedule.Schedule) deltaRequest {
@@ -195,11 +140,9 @@ func applyEdit(s *schedule.Schedule, req deltaRequest) *schedule.Schedule {
 }
 
 // TestDeltaMixedMethodSequenceStaysBitwise interleaves what-ifs of every
-// method with commits on a generated schedule. A what-if patches only the
-// engine its method reads, so the other must stay in step with the
-// committed schedule: every what-if answer, and every full-window GET
-// after a commit, must equal a fresh computation bit for bit, and what-ifs
-// that do not read the coalition table must not patch it.
+// method with commits on a generated schedule: every what-if answer, and
+// every full-window GET after a commit, must equal a fresh computation
+// bit for bit.
 func TestDeltaMixedMethodSequenceStaysBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	gen := schedule.DefaultGeneratorConfig()
@@ -232,22 +175,11 @@ func TestDeltaMixedMethodSequenceStaysBitwise(t *testing.T) {
 		edited := applyEdit(committed, req)
 		label := fmt.Sprintf("edit %d %s commit=%v", i, req.Method, req.Commit)
 
-		before := deltaApplies(t)
 		var resp deltaResponse
 		if code := postDelta(t, ts.URL, req, &resp); code != http.StatusOK {
 			t.Fatalf("%s: status %d", label, code)
 		}
 		requireGramsBits(t, label, directAttribution(t, req.Method, edited, 1000), resp.Attribution)
-		wantPatches := 0.0
-		switch {
-		case req.Commit:
-			wantPatches = 1
-		case req.Method == MethodGroundTruth:
-			wantPatches = 2 // apply and revert
-		}
-		if got := deltaApplies(t) - before; got != wantPatches {
-			t.Fatalf("%s: %v coalition-table patches, want %v", label, got, wantPatches)
-		}
 		if !req.Commit {
 			continue
 		}
@@ -260,9 +192,9 @@ func TestDeltaMixedMethodSequenceStaysBitwise(t *testing.T) {
 	}
 }
 
-// TestDeltaWhatIfLeavesStateIntact verifies the revert path: after a
-// what-if, GET answers and the config fingerprint are those of the
-// original schedule, and a repeated what-if returns identical bits.
+// TestDeltaWhatIfLeavesStateIntact verifies a what-if touches no serving
+// state: after it, GET answers and the config fingerprint are those of
+// the original schedule, and a repeated what-if returns identical bits.
 func TestDeltaWhatIfLeavesStateIntact(t *testing.T) {
 	srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
 	ts := httptest.NewServer(srv.Handler())
@@ -300,7 +232,8 @@ func TestDeltaWhatIfLeavesStateIntact(t *testing.T) {
 
 // TestDeltaCommitSwapsStateAndWarmsCache verifies a commit: the serving
 // schedule changes, the fingerprint moves, and the full-window cache is
-// patched for every standard method so the next GETs recompute nothing.
+// warmed for fair-co2, rup and demand-proportional, so their next GETs
+// are hits. Ground truth, which costs 2^n, is computed on its first read.
 func TestDeltaCommitSwapsStateAndWarmsCache(t *testing.T) {
 	srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
 	ts := httptest.NewServer(srv.Handler())
@@ -336,8 +269,12 @@ func TestDeltaCommitSwapsStateAndWarmsCache(t *testing.T) {
 		n := comps(method)
 		var q queryResponse
 		getJSON(t, ts.URL+"/v1/attribution?method="+method, &q)
-		if got := comps(method); got != n {
-			t.Fatalf("%s: full-window GET after commit recomputed (%v -> %v), want cache hit", method, n, got)
+		wantComps := 0.0
+		if method == MethodGroundTruth {
+			wantComps = 1
+		}
+		if got := comps(method) - n; got != wantComps {
+			t.Fatalf("%s: full-window GET after commit ran %v computations, want %v", method, got, wantComps)
 		}
 		want := directAttribution(t, method, committed, 1000)
 		requireGramsBits(t, method+" after commit", want, q.Attribution)
@@ -356,7 +293,7 @@ func TestDeltaCommitSwapsStateAndWarmsCache(t *testing.T) {
 }
 
 // TestDeltaValidation exercises the 4xx paths, checking each rejected
-// request leaves the engine and serving state untouched.
+// request leaves the serving state untouched.
 func TestDeltaValidation(t *testing.T) {
 	srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
 	ts := httptest.NewServer(srv.Handler())
@@ -419,5 +356,202 @@ func TestDeltaDisabled(t *testing.T) {
 	getJSON(t, ts.URL+"/healthz", &health)
 	if health.DeltaEnabled {
 		t.Fatal("healthz reports delta enabled on a zero-value config")
+	}
+}
+
+// TestNewRetainsNoCoalitionTable pins that a server keeps no 2^n state
+// per replica: on a 20-workload schedule, New with the daemon's defaults
+// must retain under 1 MiB of heap, where a resident exact-Shapley
+// coalition table alone holds 2^20 x 8 B = 8 MiB.
+func TestNewRetainsNoCoalitionTable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Schedule = firstDraw(t, 20, 0)
+	cfg.Budget = 1000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	srv, err := New(cfg, metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(srv)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained >= 1<<20 {
+		t.Fatalf("New retained %d bytes of heap, want under 1 MiB", retained)
+	}
+}
+
+// TestDeltaConcurrentWhatIfsAndCommits runs lock-free what-ifs against a
+// stream of commits, for the race detector. Every what-if must answer 200
+// and sum to its budget; once the 20 commits land, the fingerprint and
+// every method's full-window GET must be those of the schedule with all
+// of them applied.
+func TestDeltaConcurrentWhatIfsAndCommits(t *testing.T) {
+	sched := firstDraw(t, 20, 0)
+	srv, _ := newTestServer(t, nil, func(c *Config) {
+		c.Schedule = cloneSchedule(sched)
+		c.EnableDelta = true
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	post := func(req deltaRequest) (deltaResponse, error) {
+		var resp deltaResponse
+		raw, err := json.Marshal(req)
+		if err != nil {
+			return resp, err
+		}
+		r, err := http.Post(ts.URL+"/v1/demand/delta", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			return resp, err
+		}
+		defer r.Body.Close()
+		if r.StatusCode != http.StatusOK {
+			return resp, fmt.Errorf("status %d", r.StatusCode)
+		}
+		return resp, json.NewDecoder(r.Body).Decode(&resp)
+	}
+
+	choices := schedule.DefaultGeneratorConfig().CoreChoices
+	want := cloneSchedule(sched)
+	commits := make([]deltaRequest, len(want.Workloads))
+	for i := range commits {
+		cores := choices[(i+1)%len(choices)]
+		if cores == want.Workloads[i].Cores {
+			cores = choices[i%len(choices)]
+		}
+		commits[i] = deltaRequest{Tenant: i, Cores: intp(cores), Commit: true}
+		want = applyEdit(want, commits[i])
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for _, req := range commits {
+			if _, err := post(req); err != nil {
+				t.Errorf("commit tenant %d: %v", req.Tenant, err)
+			}
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			methods := []string{MethodFairCO2, MethodRUP}
+			// Each sender overlaps the commits with at least minWhatIfs
+			// what-ifs, then keeps on until the commits are done.
+			const minWhatIfs = 10
+			for i := 0; ; i++ {
+				if i >= minWhatIfs {
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+				req := deltaRequest{Tenant: rng.Intn(len(sched.Workloads)), Cores: intp(choices[rng.Intn(len(choices))]), Method: methods[i%2]}
+				resp, err := post(req)
+				if err != nil {
+					t.Errorf("what-if %+v: %v", req, err)
+					return
+				}
+				sum := 0.0
+				for _, w := range resp.Attribution {
+					sum += w.Grams
+				}
+				if math.Abs(sum-resp.BudgetGrams) > invariantTol*resp.BudgetGrams {
+					t.Errorf("what-if %+v: attributed %v of %v", req, sum, resp.BudgetGrams)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if got, wantFP := srv.Fingerprint(), configFingerprint(want, 1000); got != wantFP {
+		t.Fatalf("fingerprint %08x after the commits, want %08x", got, wantFP)
+	}
+	for _, m := range []string{MethodFairCO2, MethodGroundTruth, MethodRUP, MethodDemandProportional} {
+		var q queryResponse
+		if code := getJSON(t, ts.URL+"/v1/attribution?method="+m, &q); code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", m, code)
+		}
+		requireGramsBits(t, "GET "+m+" after the commits", directAttribution(t, m, want, 1000), q.Attribution)
+	}
+}
+
+// offByOne attributes like RUP but hands out one gram more than the
+// budget, breaking efficiency.
+type offByOne struct{}
+
+func (offByOne) Name() string { return "off-by-one" }
+
+func (offByOne) Attribute(s *schedule.Schedule, budget units.GramsCO2e) ([]float64, error) {
+	grams, err := attribution.RUPBaseline{}.Attribute(s, budget)
+	if err == nil {
+		grams[0]++
+	}
+	return grams, err
+}
+
+// TestInvariantGateRefusesAnswers overrides rup with a method whose
+// answers overshoot the budget: each GET must answer 500, count one
+// violation and compute again, since nothing was cached. The delta
+// endpoint runs the standard rup and is unaffected.
+func TestInvariantGateRefusesAnswers(t *testing.T) {
+	srv, _ := newTestServer(t, nil, func(c *Config) {
+		c.EnableDelta = true
+		c.Methods = map[string]attribution.Method{MethodRUP: offByOne{}}
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	violations := srv.inst.InvariantViolations.With(MethodRUP)
+	comps := srv.inst.Computations.With(MethodRUP)
+	for i := 1; i <= 2; i++ {
+		var body map[string]string
+		if code := getJSON(t, ts.URL+"/v1/attribution?method=rup", &body); code != http.StatusInternalServerError {
+			t.Fatalf("GET %d: status %d, want 500", i, code)
+		}
+		if body["error"] == "" {
+			t.Fatalf("GET %d: empty error body", i)
+		}
+		if got := violations.Value(); got != float64(i) {
+			t.Fatalf("after GET %d: %v invariant violations, want %d", i, got, i)
+		}
+		if got := comps.Value(); got != float64(i) {
+			t.Fatalf("after GET %d: %v computations, want %d (a refused answer is not cached)", i, got, i)
+		}
+	}
+
+	var resp deltaResponse
+	if code := postDelta(t, ts.URL, deltaRequest{Tenant: 1, Cores: intp(40), Method: MethodRUP}, &resp); code != http.StatusOK {
+		t.Fatalf("what-if: status %d", code)
+	}
+	modified := applyEdit(testSchedule(t), deltaRequest{Tenant: 1, Cores: intp(40)})
+	requireGramsBits(t, "what-if", directAttribution(t, MethodRUP, modified, 1000), resp.Attribution)
+}
+
+// TestInvariantGatePassDoesNotAllocate pins the gate's cost on the path
+// every served answer takes.
+func TestInvariantGatePassDoesNotAllocate(t *testing.T) {
+	srv, _ := newTestServer(t, nil, nil)
+	ans, err := srv.fullWindow(MethodFairCO2, testSchedule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := srv.gate(ans); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("gate allocated %v times per passing answer, want 0", allocs)
 	}
 }

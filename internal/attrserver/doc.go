@@ -20,9 +20,13 @@
 //     window for the same period are merged into one attribution call —
 //     one computation prices every tenant in the window, and the result
 //     fans back out to each waiter.
+//   - An invariant gate (server.go): every answer, GET or demand delta,
+//     must give one finite, non-negative share per workload summing to
+//     its budget (axioms.CheckShares) before it is cached or rendered.
 //
 // Everything is observable: fairco2_attrserver_{requests_total,
 // cache_hits_total, cache_misses_total, cache_evictions_total,
-// coalesced_total, computations_total, batch_size, inflight} via
-// internal/metrics, plus /metrics and /healthz endpoints.
+// coalesced_total, computations_total, invariant_violations_total,
+// batch_size, inflight} via internal/metrics, plus /metrics and /healthz
+// endpoints.
 package attrserver

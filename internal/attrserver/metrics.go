@@ -32,6 +32,10 @@ type Instruments struct {
 	// replicas, that cluster routing never computes one query twice
 	// (fairco2_attrserver_computations_total{replica,method}).
 	Computations metrics.CurriedCounterVec
+	// InvariantViolations counts answers the invariant gate refused, by
+	// method; each was served as a 500 and never cached
+	// (fairco2_attrserver_invariant_violations_total{replica,method}).
+	InvariantViolations metrics.CurriedCounterVec
 	// BatchSize observes how many queries each fired batch fanned out to
 	// (an in-flight computation may serve several batches).
 	BatchSize *metrics.Histogram
@@ -72,6 +76,10 @@ func NewReplicaInstruments(reg *metrics.Registry, replica string) *Instruments {
 		Computations: reg.GetOrNewCounterVec(
 			"fairco2_attrserver_computations_total",
 			"Underlying attribution computations executed, by replica and method.",
+			"replica", "method").Curry(replica),
+		InvariantViolations: reg.GetOrNewCounterVec(
+			"fairco2_attrserver_invariant_violations_total",
+			"Answers refused for breaking efficiency, finiteness or non-negativity, by replica and method.",
 			"replica", "method").Curry(replica),
 		BatchSize: reg.GetOrNewHistogramVec(
 			"fairco2_attrserver_batch_size",

@@ -108,12 +108,13 @@ func (s *Server) Fingerprint() uint32 { return s.snapshot().fp }
 // config keys. Parallelism is excluded — attribution is bitwise-identical
 // for any worker count, the same contract checkpoint resume relies on.
 func configFingerprint(s *schedule.Schedule, budget units.GramsCO2e) uint32 {
-	vals := []uint64{
+	vals := make([]uint64, 0, 4+3*len(s.Workloads))
+	vals = append(vals,
 		uint64(s.Slices),
 		math.Float64bits(float64(s.SliceDuration)),
 		math.Float64bits(float64(budget)),
 		uint64(len(s.Workloads)),
-	}
+	)
 	for _, w := range s.Workloads {
 		vals = append(vals, uint64(w.Cores), uint64(w.Start), uint64(w.Duration))
 	}

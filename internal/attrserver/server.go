@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"fairco2/internal/attribution"
+	"fairco2/internal/axioms"
 	"fairco2/internal/livesignal"
 	"fairco2/internal/metrics"
 	"fairco2/internal/multiregion"
@@ -31,10 +34,10 @@ type Config struct {
 	// Parallelism is forwarded to the Shapley engines (0 auto, 1 serial).
 	Parallelism int
 	// EnableDelta serves POST /v1/demand/delta: what-if and committed
-	// single-tenant demand updates answered by the incremental delta
-	// engines (shapley.DeltaTable, temporal.SignalDelta) instead of full
-	// recomputation. DefaultConfig turns it on; a zero-value Config leaves
-	// it off, so embedding callers opt in explicitly.
+	// single-tenant demand updates, answered over the full window by the
+	// standard method the GET path runs, on a trial copy of the schedule.
+	// DefaultConfig turns it on; a zero-value Config leaves it off, so
+	// embedding callers opt in explicitly.
 	EnableDelta bool
 
 	// CacheBytes bounds the result cache (default 8 MiB).
@@ -85,9 +88,10 @@ type Config struct {
 
 	// Now overrides the clock, for deterministic tests.
 	Now func() time.Time
-	// Methods overrides or extends the attribution method set keyed by
-	// query name; mainly for tests (gated methods). Defaults to the four
-	// standard methods built with Parallelism.
+	// Methods overrides or extends the attribution method set GET
+	// queries run, keyed by query name; mainly for tests (gated methods).
+	// Defaults to the four standard methods built with Parallelism. The
+	// delta endpoint always runs the standard methods.
 	Methods map[string]attribution.Method
 }
 
@@ -175,11 +179,14 @@ type Server struct {
 	inst    *Instruments
 	cache   *resultCache
 	batch   *batcher
-	methods map[string]attribution.Method
+	std     map[string]attribution.Method // the four standard methods
+	methods map[string]attribution.Method // std plus Config.Methods
 	state   atomic.Pointer[schedState]
 	health  atomic.Value // string; empty = HealthOK
-	delta   *deltaEngine // nil unless Config.EnableDelta
-	started time.Time
+	// commitMu serializes delta commits, the only writers of state
+	// after New.
+	commitMu sync.Mutex
+	started  time.Time
 }
 
 // schedState is the servable schedule and its cache fingerprint, swapped
@@ -202,6 +209,14 @@ func New(cfg Config, reg *metrics.Registry) (*Server, error) {
 		return nil, err
 	}
 	inst := NewReplicaInstruments(reg, cfg.Replica)
+	std := map[string]attribution.Method{
+		MethodGroundTruth:        attribution.GroundTruth{Parallelism: cfg.Parallelism},
+		MethodRUP:                attribution.RUPBaseline{},
+		MethodDemandProportional: attribution.DemandProportional{},
+		MethodFairCO2:            attribution.TemporalShapley{Parallelism: cfg.Parallelism},
+	}
+	methods := maps.Clone(std)
+	maps.Copy(methods, cfg.Methods)
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
@@ -209,24 +224,10 @@ func New(cfg Config, reg *metrics.Registry) (*Server, error) {
 		cache:   newResultCache(cfg.CacheBytes, cfg.CacheShards, cfg.Now, inst),
 		batch:   newBatcher(cfg.BatchWindow, inst),
 		started: cfg.Now(),
-		methods: map[string]attribution.Method{
-			MethodGroundTruth:        attribution.GroundTruth{Parallelism: cfg.Parallelism},
-			MethodRUP:                attribution.RUPBaseline{},
-			MethodDemandProportional: attribution.DemandProportional{},
-			MethodFairCO2:            attribution.TemporalShapley{Parallelism: cfg.Parallelism},
-		},
-	}
-	for name, m := range cfg.Methods {
-		s.methods[name] = m
+		std:     std,
+		methods: methods,
 	}
 	s.state.Store(&schedState{sched: cfg.Schedule, fp: configFingerprint(cfg.Schedule, cfg.Budget)})
-	if cfg.EnableDelta {
-		d, err := newDeltaEngine(cfg.Schedule, cfg.Budget, cfg.Parallelism)
-		if err != nil {
-			return nil, err
-		}
-		s.delta = d
-	}
 	return s, nil
 }
 
@@ -301,8 +302,38 @@ func (s *Server) compute(st *schedState, q querySpec, key string) (*answer, erro
 		IDs:        ids,
 		Grams:      grams,
 	}
+	if err := s.gate(ans); err != nil {
+		return nil, err
+	}
 	s.cache.put(key, ans, ans.sizeBytes(key), ttl)
 	return ans, nil
+}
+
+// errInvariant marks an answer the invariant gate refused; it is served
+// as a 500 and never cached.
+var errInvariant = errors.New("attrserver: answer breaks the attribution invariants")
+
+// invariantTol bounds an answer's efficiency gap relative to its budget:
+// the float64 rounding of an n-term sum sits orders of magnitude below it.
+const invariantTol = 1e-9
+
+// gate checks an answer before it is cached or rendered: one finite,
+// non-negative share per workload, summing to the budget within
+// invariantTol of it (the paper's efficiency axiom). A violation is
+// counted by method and returned wrapping errInvariant. The passing path
+// does not allocate.
+func (s *Server) gate(a *answer) error {
+	if err := axioms.CheckShares(a.Grams, len(a.IDs), a.Budget, invariantTol); err != nil {
+		s.inst.InvariantViolations.With(a.Method).Inc()
+		return fmt.Errorf("%w: %s over period %d:%d: %w", errInvariant, a.Method, a.Start, a.End, err)
+	}
+	return nil
+}
+
+// prorated is the static budget of the slice window [start, end): the
+// configured budget scaled by the window's share of all slices.
+func (s *Server) prorated(start, end, slices int) units.GramsCO2e {
+	return units.GramsCO2e(float64(s.cfg.Budget) * float64(end-start) / float64(slices))
 }
 
 // budgetFor prices a period and picks the TTL its result may live for.
@@ -312,7 +343,7 @@ func (s *Server) compute(st *schedState, q querySpec, key string) (*answer, erro
 // what remains of the staleness bound, and degraded service falls back to
 // the prorated budget with a short TTL so recovery is picked up quickly.
 func (s *Server) budgetFor(st *schedState, sub *schedule.Schedule, start, end int) (budget units.GramsCO2e, intensity float64, quality string, ttl time.Duration) {
-	prorated := units.GramsCO2e(float64(s.cfg.Budget) * float64(end-start) / float64(st.sched.Slices))
+	prorated := s.prorated(start, end, st.sched.Slices)
 	if s.cfg.Feed == nil {
 		return prorated, 0, "static", s.cfg.CacheTTL
 	}
@@ -340,7 +371,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /v1/attribution", s.queryHandler("attribution", renderAttribution))
 	mux.Handle("GET /v1/share", s.queryHandler("share", renderShare))
 	mux.Handle("GET /v1/billing", s.queryHandler("billing", renderBilling))
-	if s.delta != nil {
+	if s.cfg.EnableDelta {
 		mux.Handle("POST /v1/demand/delta", s.instrument("demand-delta", http.HandlerFunc(s.handleDemandDelta)))
 	}
 	mux.Handle("GET /healthz", s.instrument("healthz", http.HandlerFunc(s.handleHealthz)))
@@ -429,7 +460,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":             status,
 		"uptime_seconds":     s.cfg.Now().Sub(s.started).Seconds(),
 		"config_fingerprint": fmt.Sprintf("%08x", st.fp),
-		"delta_enabled":      s.delta != nil,
+		"delta_enabled":      s.cfg.EnableDelta,
 		"schedule": map[string]any{
 			"slices":    st.sched.Slices,
 			"workloads": len(st.sched.Workloads),

@@ -92,19 +92,42 @@ func CheckEfficiency(m attribution.Method, cfg Config) []Violation {
 		if err != nil {
 			return []Violation{{Axiom: "efficiency", Magnitude: math.Inf(1), Detail: err.Error()}}
 		}
-		sum := 0.0
-		for _, v := range attr {
-			sum += v
-		}
-		if rel := math.Abs(sum-float64(cfg.Budget)) / float64(cfg.Budget); rel > cfg.Tolerance {
-			out = append(out, Violation{
-				Axiom:     "efficiency",
-				Magnitude: rel,
-				Detail:    fmt.Sprintf("instance %d attributed %.6g of %.6g", i, sum, float64(cfg.Budget)),
-			})
+		if v, ok := CheckShares(attr, len(s.Workloads), float64(cfg.Budget), cfg.Tolerance).(Violation); ok {
+			v.Detail = fmt.Sprintf("instance %d: %s", i, v.Detail)
+			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// CheckShares checks one attribution of budget over n workloads against
+// the invariants every answer must keep: one share per workload, each
+// finite and non-negative, summing to budget within tol times its
+// magnitude (§4's efficiency). It returns nil or a Violation of the
+// efficiency axiom naming the first broken invariant, and allocates only
+// when it finds one, so a server can run it on every answer it serves.
+func CheckShares(shares []float64, n int, budget, tol float64) error {
+	if len(shares) != n {
+		return Violation{Axiom: "efficiency", Magnitude: math.Inf(1),
+			Detail: fmt.Sprintf("%d shares for %d workloads", len(shares), n)}
+	}
+	sum := 0.0
+	for i, v := range shares {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Violation{Axiom: "efficiency", Magnitude: math.Inf(1),
+				Detail: fmt.Sprintf("share %d is %v", i, v)}
+		}
+		if v < 0 {
+			return Violation{Axiom: "efficiency", Magnitude: -v / math.Abs(budget),
+				Detail: fmt.Sprintf("share %d is negative (%.6g)", i, v)}
+		}
+		sum += v
+	}
+	if gap := math.Abs(sum - budget); !(gap <= tol*math.Abs(budget)) {
+		return Violation{Axiom: "efficiency", Magnitude: gap / math.Abs(budget),
+			Detail: fmt.Sprintf("attributed %.6g of %.6g", sum, budget)}
+	}
+	return nil
 }
 
 // CheckSymmetry verifies identical workloads receive identical shares: a

@@ -1,6 +1,7 @@
 package axioms
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -117,6 +118,33 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if vs := CheckLinearity(attribution.GroundTruth{}, cfg); len(vs) == 0 {
 			t.Errorf("case %d: linearity", i)
+		}
+	}
+}
+
+func TestCheckShares(t *testing.T) {
+	cases := []struct {
+		name   string
+		shares []float64
+		n      int
+		ok     bool
+	}{
+		{"exact", []float64{250, 750}, 2, true},
+		{"within tolerance", []float64{250, 750 + 5e-7}, 2, true},
+		{"overshoots", []float64{251, 750}, 2, false},
+		{"undershoots", []float64{250, 749}, 2, false},
+		{"wrong length", []float64{1000}, 2, false},
+		{"NaN", []float64{math.NaN(), 1000}, 2, false},
+		{"infinite", []float64{math.Inf(1), 1000}, 2, false},
+		{"negative", []float64{-1, 1001}, 2, false},
+	}
+	for _, tc := range cases {
+		err := CheckShares(tc.shares, tc.n, 1000, 1e-9)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: CheckShares = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if v, isViolation := err.(Violation); err != nil && (!isViolation || v.Axiom != "efficiency") {
+			t.Errorf("%s: error %#v is not an efficiency Violation", tc.name, err)
 		}
 	}
 }

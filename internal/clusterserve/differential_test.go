@@ -191,9 +191,10 @@ func TestDifferentialQueriesMatchOracle(t *testing.T) {
 
 // TestDifferentialDeltaMatchesOracle mirrors a what-if and a commit on
 // the cluster (entering through non-owner replicas) and the oracle, and
-// requires bitwise-identical responses; after the commit, full-window
-// reads on every method come from the commit-warmed caches — bitwise
-// equal to the oracle with zero new computations.
+// requires bitwise-identical responses. After the commit, full-window
+// reads on every method must equal the oracle bitwise; fair-co2, rup and
+// demand-proportional come from the commit-warmed caches, and ground
+// truth costs one computation cluster-wide, at its key's owner.
 func TestDifferentialDeltaMatchesOracle(t *testing.T) {
 	sched := FleetSchedule(16)
 	f := startTestFleet(t, FleetConfig{Replicas: 3, Schedule: sched})
@@ -242,10 +243,10 @@ func TestDifferentialDeltaMatchesOracle(t *testing.T) {
 		}
 	}
 
-	// The commit warmed every replica's cache for all methods over the
-	// full window; post-commit reads must match the oracle bitwise and
-	// cost no new computations anywhere in the cluster.
 	before := f.FamilyTotal("fairco2_attrserver_computations_total")
+	gtKey := fmt.Sprintf("cfg=%08x/m=%s/p=0:16", f.Srvs[0].Fingerprint(), attrserver.MethodGroundTruth)
+	owner := f.Nodes[0].ActiveRing().Lookup(gtKey)
+	ownerBefore := replicaComputations(f.Reg, owner)
 	for i, m := range diffMethods {
 		for _, ep := range []string{"/v1/attribution", "/v1/share", "/v1/billing"} {
 			path := fmt.Sprintf("%s?method=%s&period=0:16", ep, m)
@@ -258,7 +259,26 @@ func TestDifferentialDeltaMatchesOracle(t *testing.T) {
 			bitwiseEqual(t, "post-commit "+path, stripVolatile(got), stripVolatile(want))
 		}
 	}
-	if after := f.FamilyTotal("fairco2_attrserver_computations_total"); after != before {
-		t.Errorf("post-commit reads computed %v new results; commit-time cache warming should cover them", after-before)
+	if got := f.FamilyTotal("fairco2_attrserver_computations_total") - before; got != 1 {
+		t.Errorf("post-commit reads computed %v new results, want 1 (ground truth)", got)
 	}
+	if got := replicaComputations(f.Reg, owner) - ownerBefore; got != 1 {
+		t.Errorf("ground-truth owner %s computed %v post-commit results, want 1", owner, got)
+	}
+}
+
+// replicaComputations sums one replica's computations_total over methods.
+func replicaComputations(reg *metrics.Registry, replica string) float64 {
+	total := 0.0
+	for _, fam := range reg.Gather() {
+		if fam.Name != "fairco2_attrserver_computations_total" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if s.LabelValues[0] == replica {
+				total += s.Value
+			}
+		}
+	}
+	return total
 }

@@ -27,10 +27,10 @@
 //     and singleflight compose per shard, so identical queries cost one
 //     computation cluster-wide. Committed demand deltas apply at the owner
 //     and replicate synchronously to every peer (workload replacements
-//     commute, so replicas converge), keeping each replica's cache warm
-//     for post-commit reads. A forward that fails at the network falls
-//     back to local computation — availability over deduplication — which
-//     is what keeps a replica blackout invisible to clients.
+//     commute, so the replicas' config fingerprints converge). A forward
+//     that fails at the network falls back to local computation —
+//     availability over deduplication — which is what keeps a replica
+//     blackout invisible to clients.
 //
 // The load-generation harness (StartFleet, RunLoad) spins an in-process
 // multi-replica cluster over httptest listeners; the load suite drives it

@@ -215,12 +215,12 @@ type Node struct {
 	queueMax   int64
 	queueDepth atomic.Int64
 
-	// commitMu serializes local delta applies so the apply and the cache
-	// warm it triggers are atomic with respect to other deltas landing on
-	// this replica (own commits and replicated ones alike). It is never
-	// held across network calls — replication fans out after release —
-	// so two replicas replicating to each other cannot deadlock. It also
-	// guards the commit-ordering state below.
+	// commitMu serializes commits on this replica (own commits and
+	// replicated ones alike), so a commit and the cache warm it triggers
+	// are atomic with respect to the others. It is never held across
+	// network calls — replication fans out after release — so two
+	// replicas replicating to each other cannot deadlock. It also guards
+	// the commit-ordering state below.
 	commitMu sync.Mutex
 	// lamport is this replica's logical clock: bumped past every stamp it
 	// sees, incremented when it originates a commit. Because a commit is
@@ -515,8 +515,8 @@ const maxDeltaBody = 64 << 10
 
 // handleDelta routes POST /v1/demand/delta by (fingerprint, tenant).
 // What-ifs answer at the owner; commits apply at the owner and replicate
-// synchronously to every peer so all caches are warm for post-commit
-// reads. Forward failures answer 502 — a local fallback could double-
+// synchronously to every peer, so every replica's config fingerprint
+// converges. Forward failures answer 502 — a local fallback could double-
 // apply a commit the owner already took.
 func (n *Node) handleDelta(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxDeltaBody+1))
@@ -578,9 +578,10 @@ func (n *Node) handleDelta(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// applyDelta runs an owner-side delta on the local attrserver under
-// commitMu; a successful commit draws the next Lamport stamp, lands in
-// the commit log, and broadcasts to every peer.
+// applyDelta runs an owner-side delta on the local attrserver. A what-if
+// changes no state, so it takes no lock; a commit applies under commitMu,
+// and if it succeeds it draws the next Lamport stamp, lands in the commit
+// log, and broadcasts to every peer.
 func (n *Node) applyDelta(w http.ResponseWriter, r *http.Request, body []byte, tenant int, commit bool) {
 	if !n.acquireSlot() {
 		n.shed(w, "queue-depth", n.cfg.Admission.RetryAfter)
@@ -588,20 +589,24 @@ func (n *Node) applyDelta(w http.ResponseWriter, r *http.Request, body []byte, t
 	}
 	defer n.releaseSlot()
 	n.inst.Local.Inc()
+	if !commit {
+		n.local.ServeHTTP(w, rewound(r, body))
+		return
+	}
 	rec := &bufferedResponse{header: http.Header{}}
 	var stamp uint64
 	func() {
 		n.commitMu.Lock()
 		defer n.commitMu.Unlock()
 		n.local.ServeHTTP(rec, rewound(r, body))
-		if rec.status == http.StatusOK && commit {
+		if rec.status == http.StatusOK {
 			n.lamport++
 			stamp = n.lamport
 			n.lastCommit[tenant] = commitMark{stamp: stamp, origin: n.id}
 			n.clog.Append(CommitEntry{Stamp: stamp, Origin: n.id, Body: body})
 		}
 	}()
-	if rec.status == http.StatusOK && commit {
+	if rec.status == http.StatusOK {
 		n.replicate(stamp, body)
 	}
 	rec.flushTo(w)

@@ -43,6 +43,14 @@ import (
 // the fingerprints and preallocated scratch. Steady-state applies perform
 // no heap allocation when run serially (workers == 1) with a game that
 // allocates none itself; the race_off AllocsPerRun tests pin this.
+//
+// No program serves from a DeltaTable: the attribution service answers
+// demand edits by attributing an edited schedule afresh, since a resident
+// 2^n table cost every replica memory and every commit time for answers
+// a fresh build gives as fast. DeltaTable stays, with its suites,
+// benchmarks and CI gate, only because servebench's per-layer replay
+// (replayDeltas) times it, until a change to the benchmark drops that
+// replay.
 
 // DeltaStats reports what one delta apply did.
 type DeltaStats struct {

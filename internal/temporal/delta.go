@@ -41,6 +41,13 @@ import (
 // perform no heap allocation (the race_off AllocsPerRun test pins this):
 // the recursion runs through a preallocated per-level arena and the
 // fingerprints through a preallocated encode buffer.
+//
+// No program serves from a SignalDelta: the attribution service answers
+// demand edits by attributing an edited schedule afresh, which costs a
+// few microseconds at served sizes. SignalDelta stays, with its suites,
+// benchmarks and CI gate, only because servebench's per-layer replay
+// (replayDeltas) times it, until a change to the benchmark drops that
+// replay.
 
 // ErrMisaligned reports an update series that does not share the built
 // signal's start, step and length.

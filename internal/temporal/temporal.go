@@ -58,7 +58,9 @@ type Config struct {
 	// n > 1 uses n workers. The signal is identical for any value —
 	// periods are independent sub-problems writing disjoint ranges of
 	// the output, so parallelism never changes a single arithmetic
-	// operation, only their interleaving.
+	// operation, only their interleaving. A single-level split runs
+	// serially whatever the value: its periods are single samples, one
+	// division each, far cheaper than starting a goroutine.
 	Parallelism int
 }
 
@@ -231,7 +233,7 @@ func (a *attributor) attribute(lo, hi int, budget float64, splits []int, intensi
 	if denom == 0 {
 		return fmt.Errorf("temporal: internal error, positive budget %v over zero-demand range [%d, %d)", budget, lo, hi)
 	}
-	if workers := min(a.workers, m); workers > 1 {
+	if workers := min(a.workers, m); workers > 1 && len(splits) > 1 {
 		return a.fanOut(lo, width, budget, denom, phi, qs, workers, splits, intensity)
 	}
 	for k := 0; k < m; k++ {
