@@ -1,6 +1,7 @@
 package attrserver
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,7 +19,8 @@ import (
 // Edits never run a Config.Methods override and never count in
 // computations_total: those count GET computations only.
 //
-// A what-if takes no lock and leaves the server untouched. Commits
+// A what-if takes no lock and leaves the server untouched; ground-truth
+// what-ifs, which build a 2^n table each, run one at a time. Commits
 // serialize on commitMu; each swaps the snapshot and warms the result
 // cache under the new fingerprint with the cheap full-window answers
 // (fair-co2, rup, demand-proportional) and the committed method's own.
@@ -73,7 +75,7 @@ func (s *Server) handleDemandDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("attrserver: decoding delta request: %w", err))
 		return
 	}
-	resp, code, err := s.applyDelta(req)
+	resp, code, err := s.applyDelta(r.Context(), req)
 	if err != nil {
 		writeError(w, code, err)
 		return
@@ -83,9 +85,10 @@ func (s *Server) handleDemandDelta(w http.ResponseWriter, r *http.Request) {
 
 // applyDelta validates the requested change on a trial clone of the
 // serving schedule, answers it over the full window, and commits the
-// trial when asked. The returned int is the HTTP status to use when err
-// is non-nil.
-func (s *Server) applyDelta(req deltaRequest) (*deltaResponse, int, error) {
+// trial when asked. A valid ground-truth what-if waits, under ctx and at
+// most QueryTimeout, for the server's ground-truth slot. The returned int
+// is the HTTP status to use when err is non-nil.
+func (s *Server) applyDelta(ctx context.Context, req deltaRequest) (*deltaResponse, int, error) {
 	method := req.Method
 	if method == "" {
 		method = MethodFairCO2
@@ -113,6 +116,16 @@ func (s *Server) applyDelta(req deltaRequest) (*deltaResponse, int, error) {
 	}
 	if err := trial.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
+	}
+	if !req.Commit && method == MethodGroundTruth {
+		ctx, cancel := context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		defer cancel()
+		select {
+		case s.groundTruth <- struct{}{}:
+			defer func() { <-s.groundTruth }()
+		case <-ctx.Done():
+			return nil, http.StatusGatewayTimeout, fmt.Errorf("attrserver: waiting for the ground-truth what-if slot: %w", ctx.Err())
+		}
 	}
 	ans, err := s.fullWindow(method, trial)
 	if err != nil {

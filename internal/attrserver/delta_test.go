@@ -2,6 +2,7 @@ package attrserver
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -9,8 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fairco2/internal/attribution"
 	"fairco2/internal/metrics"
@@ -553,5 +556,49 @@ func TestInvariantGatePassDoesNotAllocate(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("gate allocated %v times per passing answer, want 0", allocs)
+	}
+}
+
+// TestDeltaGroundTruthWhatIfsShareOneSlot: ground-truth what-ifs run one
+// at a time per server, since each builds its own 2^n coalition table.
+// With the slot held, a ground-truth what-if whose request deadline is
+// 50 ms answers 504 like a timed-out GET, a fair-co2 what-if still
+// answers 200, and once the slot frees concurrent ground-truth what-ifs
+// all run, one after another.
+func TestDeltaGroundTruthWhatIfsShareOneSlot(t *testing.T) {
+	srv, _ := newTestServer(t, nil, func(c *Config) { c.EnableDelta = true })
+	h := srv.Handler()
+	whatif := func(method string, deadline time.Duration) int {
+		t.Helper()
+		body := fmt.Sprintf(`{"tenant":0,"cores":3,"method":%q}`, method)
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		defer cancel()
+		req := httptest.NewRequest(http.MethodPost, "/v1/demand/delta", strings.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+
+	srv.groundTruth <- struct{}{}
+	if code := whatif(MethodGroundTruth, 50*time.Millisecond); code != http.StatusGatewayTimeout {
+		t.Errorf("ground-truth what-if with the slot held: status %d, want 504", code)
+	}
+	if code := whatif(MethodFairCO2, 50*time.Millisecond); code != http.StatusOK {
+		t.Errorf("fair-co2 what-if with the ground-truth slot held: status %d, want 200", code)
+	}
+	<-srv.groundTruth
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if code := whatif(MethodGroundTruth, 10*time.Second); code != http.StatusOK {
+				t.Errorf("concurrent ground-truth what-if with the slot free: status %d, want 200", code)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(srv.groundTruth) != 0 {
+		t.Error("a finished ground-truth what-if kept the slot")
 	}
 }

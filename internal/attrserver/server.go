@@ -54,7 +54,8 @@ type Config struct {
 	// batch before computing (default 5ms; 0 computes immediately, with
 	// coalescing still folding concurrent identical queries together).
 	BatchWindow time.Duration
-	// QueryTimeout bounds each query endpoint request (default 30s).
+	// QueryTimeout bounds each query endpoint request (default 30s), and
+	// how long a ground-truth what-if waits for the server's one slot.
 	QueryTimeout time.Duration
 	// PricePerTonne converts attributed grams to the billing endpoint's
 	// dollars, in USD per tonne CO2e (default 100).
@@ -186,7 +187,10 @@ type Server struct {
 	// commitMu serializes delta commits, the only writers of state
 	// after New.
 	commitMu sync.Mutex
-	started  time.Time
+	// groundTruth holds the one slot ground-truth what-ifs run in: each
+	// builds its own 2^n coalition table and already uses every core.
+	groundTruth chan struct{}
+	started     time.Time
 }
 
 // schedState is the servable schedule and its cache fingerprint, swapped
@@ -226,6 +230,8 @@ func New(cfg Config, reg *metrics.Registry) (*Server, error) {
 		started: cfg.Now(),
 		std:     std,
 		methods: methods,
+
+		groundTruth: make(chan struct{}, 1),
 	}
 	s.state.Store(&schedState{sched: cfg.Schedule, fp: configFingerprint(cfg.Schedule, cfg.Budget)})
 	return s, nil

@@ -85,18 +85,22 @@ type syncEntry struct {
 }
 
 // syncResponse is the GET /v1/cluster/sync wire shape. Entries are in log
-// order.
+// order; CommitSeq is the log length when the page was read.
 type syncResponse struct {
-	Replica string      `json:"replica"`
-	Since   uint64      `json:"since"`
-	Next    uint64      `json:"next"`
-	More    bool        `json:"more"`
-	Entries []syncEntry `json:"entries"`
+	Replica   string      `json:"replica"`
+	Since     uint64      `json:"since"`
+	Next      uint64      `json:"next"`
+	More      bool        `json:"more"`
+	CommitSeq uint64      `json:"commit_seq"`
+	Entries   []syncEntry `json:"entries"`
 }
 
 // handleSync serves the commit-log catch-up endpoint: entries after the
 // `since` cursor, paged, so a rejoining replica replays the commits it
-// missed before re-entering the ring.
+// missed before re-entering the ring. The caller names itself in `from`,
+// and a Down caller is lifted to Warming before the log is read: every
+// commit this node applies is then either in the page or replicated to
+// the caller afterwards.
 func (n *Node) handleSync(w http.ResponseWriter, r *http.Request) {
 	var since uint64
 	if s := r.URL.Query().Get("since"); s != "" {
@@ -107,13 +111,18 @@ func (n *Node) handleSync(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
+	if n.member != nil {
+		n.member.announce(r.URL.Query().Get("from"))
+	}
 	entries, next := n.clog.Since(since, DefaultSyncPage)
+	head := n.clog.Len()
 	resp := syncResponse{
-		Replica: n.id,
-		Since:   since,
-		Next:    next,
-		More:    next < n.clog.Len(),
-		Entries: make([]syncEntry, len(entries)),
+		Replica:   n.id,
+		Since:     since,
+		Next:      next,
+		More:      next < head,
+		CommitSeq: head,
+		Entries:   make([]syncEntry, len(entries)),
 	}
 	for i, e := range entries {
 		resp.Entries[i] = syncEntry{Stamp: e.Stamp, Origin: e.Origin, Body: json.RawMessage(e.Body)}

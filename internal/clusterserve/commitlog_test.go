@@ -79,8 +79,8 @@ func TestSyncEndpointWireShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &sr); err != nil {
 		t.Fatalf("decoding sync response: %v", err)
 	}
-	if sr.Replica != "1" || sr.Since != 0 || sr.Next != 3 || sr.More {
-		t.Fatalf("sync envelope = %+v, want replica=1 since=0 next=3 more=false", sr)
+	if sr.Replica != "1" || sr.Since != 0 || sr.Next != 3 || sr.More || sr.CommitSeq != 3 {
+		t.Fatalf("sync envelope = %+v, want replica=1 since=0 next=3 more=false commit_seq=3", sr)
 	}
 	if len(sr.Entries) != 3 {
 		t.Fatalf("sync carried %d entries, want 3", len(sr.Entries))
@@ -115,6 +115,20 @@ func TestSyncEndpointWireShape(t *testing.T) {
 	resp, _ = get(t, f.URLs[1]+"/v1/cluster/sync?since=nope", nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("sync with bad cursor: status %d, want 400", resp.StatusCode)
+	}
+
+	// A pull announces its caller: a Down caller is lifted to Warming, so
+	// it is replicated to again; an unknown ID changes nothing.
+	for k := 0; k < 3; k++ {
+		f.Nodes[1].member.observeFailure("0")
+	}
+	get(t, f.URLs[1]+"/v1/cluster/sync?since=3&from=nope", nil)
+	if st := f.Nodes[1].MemberStates()["0"]; st != MemberDown {
+		t.Fatalf("sync from an unknown replica moved replica 0 to %v, want down", st)
+	}
+	get(t, f.URLs[1]+"/v1/cluster/sync?since=3&from=0", nil)
+	if st := f.Nodes[1].MemberStates()["0"]; st != MemberWarming {
+		t.Fatalf("sync from down replica 0 left it %v, want warming", st)
 	}
 }
 
@@ -226,5 +240,58 @@ func TestRejoinCatchUp(t *testing.T) {
 	}
 	if got := series(f, "fairco2_cluster_sync_replayed_total", victim); got <= replayedBefore {
 		t.Errorf("sync_replayed for %s = %v, want > %v: rejoin did not replay the missed commits", victim, got, replayedBefore)
+	}
+}
+
+// TestRejoinWhilePeersHoldItDown: a restarted replica can finish warmup
+// before any peer's prober has seen it back, and a peer that still holds
+// it Down skips it when replicating. Its warmup pulls announce it, so
+// every peer replicates to it from the page on, and commits made right
+// after it reports ready still reach it. Replicas 0 and 2 probe once an
+// hour, so nothing but those announces can lift replica 1.
+func TestRejoinWhilePeersHoldItDown(t *testing.T) {
+	f := startTestFleet(t, FleetConfig{Replicas: 3, SelfHeal: true, Probe: fastProbes(),
+		Node: func(c *Config) {
+			if c.ReplicaID != "1" {
+				c.Probe.Interval = time.Hour
+			}
+		}})
+	victim := f.IDs[1]
+
+	f.CloseReplica(1)
+	for _, i := range []int{0, 2} {
+		for k := 0; k < 3; k++ {
+			f.Nodes[i].member.observeFailure(victim)
+		}
+		if st := f.Nodes[i].MemberStates()[victim]; st != MemberDown {
+			t.Fatalf("replica %d sees %s as %v after three failures, want down", i, victim, st)
+		}
+	}
+
+	// The sync-lag gauge outlives the first incarnation; clear it so that
+	// waitWarmupDone waits for the restarted replica's own warmup.
+	f.Nodes[1].inst.SyncLag.Set(0)
+	if err := f.RestartReplica(1); err != nil {
+		t.Fatal(err)
+	}
+	waitWarmupDone(t, f, 1)
+	if st := f.Srvs[1].HealthStatus(); st != "ok" {
+		t.Fatalf("restarted replica %s reports %q after warmup, want ok", victim, st)
+	}
+
+	for tenant := 0; tenant < 4; tenant++ {
+		resp, out := postDelta(t, f.URLs[0], map[string]any{"tenant": tenant, "cores": 3 + tenant, "commit": true}, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("commit tenant %d: status %d: %v", tenant, resp.StatusCode, out)
+		}
+	}
+	want := f.Srvs[0].Fingerprint()
+	deadline := time.Now().Add(2 * time.Second)
+	for f.Srvs[1].Fingerprint() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted replica fingerprint %08x, want %08x: commits made after its warmup never reached it (peers see it %v, %v)",
+				f.Srvs[1].Fingerprint(), want, f.Nodes[0].MemberStates()[victim], f.Nodes[2].MemberStates()[victim])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -56,7 +58,9 @@ type ProbeConfig struct {
 	FailThreshold int
 	// UpThreshold is M: consecutive ok probes before a non-Up peer
 	// transitions to Up (default 2). Hysteresis: a flapping peer must
-	// string M clean probes together to rejoin the ring.
+	// string M clean probes together to rejoin the ring. A Down peer that
+	// pulls this node's commit log is lifted to Warming at once, without
+	// waiting for M probes, so it is replicated to while it catches up.
 	UpThreshold int
 	// Seed derives each probe loop's jitter stream, so tests replay
 	// exactly (default 1).
@@ -95,10 +99,17 @@ type memberHealth struct {
 	// fast-forwarded on healthy probes (live replication already delivered
 	// those commits) and advanced by replay during catch-up pulls.
 	cursor uint64
-	// pullPending freezes cursor fast-forwarding between a transition to
-	// Up and the catch-up pull it triggers, so the pull cannot be skipped
-	// past by a probe racing it.
+	// pullPending freezes cursor fast-forwarding until a catch-up pull
+	// from this peer completes: set at start (nothing pulled yet) and on
+	// each transition to Up, so the pull cannot be skipped past by a
+	// probe racing it.
 	pullPending bool
+	// resend is the lowest sequence in our own commit log that failed to
+	// reach this peer, or was skipped while it was Down (0 = none). The
+	// first ok probe that finds the peer replicable re-sends the log from
+	// there. The mark outlives a Down spell: a peer cut off only inbound
+	// still sees us Up and never pulls what it missed.
+	resend uint64
 }
 
 // membership runs the health probers for one node and owns the peer state
@@ -113,9 +124,10 @@ type membership struct {
 
 	syncMu sync.Mutex // serializes catch-up pulls
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	stop      chan struct{}
+	startOnce sync.Once
+	stopOnce  sync.Once
+	wg        sync.WaitGroup
 }
 
 func newMembership(n *Node, cfg ProbeConfig) *membership {
@@ -128,33 +140,29 @@ func newMembership(n *Node, cfg ProbeConfig) *membership {
 	// Peers start Up (optimistic, the static-membership behavior) so a
 	// cluster with its prober briefly behind still routes everywhere.
 	for id := range n.urls {
-		m.peers[id] = &memberHealth{state: MemberUp}
+		m.peers[id] = &memberHealth{state: MemberUp, pullPending: true}
 		m.n.inst.MemberState.With(m.n.id, id).Set(float64(MemberUp))
 	}
 	return m
 }
 
-// start launches the warmup catch-up and the per-peer probe loops
-// concurrently. Probing must not wait behind warmup: under a continuous
-// commit stream catch-up can take many rounds, and failure detection has
-// to keep running throughout (warmup and probe-triggered pulls serialize
-// on syncMu, so they never race each other's replays).
+// start reports Warming and launches the warmup catch-up and the per-peer
+// probe loops concurrently; later calls do nothing. Probing must not wait
+// behind warmup: failure detection has to run throughout (warmup and
+// probe-triggered pulls serialize on syncMu, so they never race each
+// other's replays).
 func (m *membership) start() {
-	m.wg.Add(1)
-	go func() {
-		defer m.wg.Done()
-		m.warmup()
-	}()
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.peers))
-	for id := range m.peers {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	for _, id := range ids {
-		m.wg.Add(1)
-		go m.probeLoop(id)
-	}
+	m.startOnce.Do(func() {
+		m.n.setHealth(attrserver.HealthWarming)
+		m.wg.Add(1 + len(m.peers))
+		go func() {
+			defer m.wg.Done()
+			m.warmup()
+		}()
+		for id := range m.peers {
+			go m.probeLoop(id)
+		}
+	})
 }
 
 func (m *membership) halt() {
@@ -240,27 +248,33 @@ func (m *membership) fetchHealth(peer string) (probeDoc, error) {
 
 // observeOK counts a clean probe: M consecutive of them bring a non-Up
 // peer back into the ring and trigger a catch-up pull for the commits we
-// missed while it was unreachable.
+// missed while it was unreachable. A replicable peer that missed one of
+// our commits gets our log re-sent from the first one it missed.
 func (m *membership) observeOK(peer string, seq uint64) {
 	m.mu.Lock()
 	h := m.peers[peer]
 	h.fails = 0
 	h.oks++
-	pull := false
 	if h.state != MemberUp && h.oks >= m.cfg.UpThreshold {
 		m.transitionLocked(peer, h, MemberUp)
 		h.pullPending = true
-		pull = true
-	} else if h.state == MemberUp && h.pullPending {
-		// A previous catch-up pull failed mid-way; retry it.
-		pull = true
 	}
+	// An Up peer still pending a pull was just readmitted, or no pull
+	// from it has completed yet.
+	pull := h.state == MemberUp && h.pullPending
 	if h.state == MemberUp && !h.pullPending && seq > h.cursor {
 		// Live replication already delivered these commits; account for
 		// them so a later outage pulls only what was actually missed.
 		h.cursor = seq
 	}
+	var resend uint64
+	if h.state != MemberDown {
+		resend, h.resend = h.resend, 0
+	}
 	m.mu.Unlock()
+	if resend > 0 {
+		m.n.resend(peer, resend)
+	}
 	if pull {
 		m.pullFrom(peer)
 	}
@@ -292,6 +306,28 @@ func (m *membership) observeFailure(peer string) {
 		// (commit-rate, not request-rate) work.
 		h.cursor = 0
 		h.pullPending = false
+	}
+}
+
+// announce lifts a Down peer to Warming when it asks for our commit log:
+// replicate sends it every commit from here on, so the page the sync
+// handler reads next, plus live replication, covers everything this node
+// applied. Up, Warming and unknown peers are left as they are.
+func (m *membership) announce(peer string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h, ok := m.peers[peer]; ok && h.state == MemberDown {
+		m.transitionLocked(peer, h, MemberWarming)
+	}
+}
+
+// undelivered records that the commit at our log sequence seq did not
+// reach peer, for the next ok probe to re-send.
+func (m *membership) undelivered(peer string, seq uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if h := m.peers[peer]; h.resend == 0 || seq < h.resend {
+		h.resend = seq
 	}
 }
 
@@ -328,120 +364,75 @@ func (m *membership) states() map[string]MemberState {
 	return out
 }
 
-// replicableLocked reports whether commits should still be broadcast to
-// peer: Down peers are skipped (they will catch up on rejoin), Warming
-// ones keep receiving live commits so their replay tail stays short.
+// replicable reports whether commits should still be broadcast to peer:
+// Down peers are skipped (they will catch up on rejoin), Warming ones keep
+// receiving live commits so their catch-up misses none.
 func (m *membership) replicable(peer string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.peers[peer].state != MemberDown
 }
 
-// maxWarmupRounds bounds the initial catch-up against a pathological peer
-// that grows its log faster than we can replay it.
-const maxWarmupRounds = 64
-
-// warmup is the rejoin catch-up: the node reports Warming, replays missed
-// commits from the first ok peer until two consecutive rounds find
-// nothing new, then reports OK and enters normal service. With no peers
-// (or none reachable — a fresh cluster booting all at once, or a full
-// partition) the node serves what it has.
+// warmup is the rejoin catch-up: the node reports Warming (start set it),
+// pages once through every reachable peer's commit log, then reports OK
+// and enters normal service. Each pull announces this node, so a peer
+// that held it Down replicates to it from before it serves the page:
+// whatever a peer commits after its page reaches us live, and one pass
+// misses nothing. Every peer is asked, because nodes never re-broadcast
+// the commits they receive. An unreachable peer is skipped; the prober
+// pulls from it once it answers. With no peer reachable (a fresh cluster
+// booting all at once, or a full partition) the node serves what it has.
 func (m *membership) warmup() {
-	if len(m.n.urls) == 0 {
-		return
-	}
-	m.n.setHealth(attrserver.HealthWarming)
-	defer m.n.setHealth(attrserver.HealthOK)
 	start := time.Now()
-	defer func() { m.n.inst.SyncLag.Set(time.Since(start).Seconds()) }()
-
-	quiet := 0
-	for round := 0; quiet < 2 && round < maxWarmupRounds; round++ {
+	for id := range m.n.urls {
 		if m.stopped() {
 			return
 		}
-		replayed, reachable := m.pullRound()
-		if !reachable {
-			return
-		}
-		if replayed == 0 {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		if quiet < 2 && !m.sleep(m.cfg.Interval/2) {
-			return
-		}
+		m.pullFrom(id)
 	}
-}
-
-// pullRound drains one reachable peer's log — preferring peers reporting
-// ok, whose logs are complete — and reports how many entries it replayed.
-func (m *membership) pullRound() (replayed int, reachable bool) {
-	type candidate struct {
-		id string
-		ok bool
-	}
-	var cands []candidate
-	for id := range m.n.urls {
-		doc, err := m.fetchHealth(id)
-		if err != nil {
-			continue
-		}
-		cands = append(cands, candidate{id, doc.Status == attrserver.HealthOK})
-	}
-	for _, preferOK := range []bool{true, false} {
-		for _, c := range cands {
-			if c.ok != preferOK {
-				continue
-			}
-			n, err := m.pullFrom(c.id)
-			if err == nil {
-				return n, true
-			}
-		}
-	}
-	return 0, len(cands) > 0
+	// Readers wait on a positive lag as the sign that warmup finished.
+	m.n.inst.SyncLag.Set(math.Max(time.Since(start).Seconds(), 1e-9))
+	m.n.setHealth(attrserver.HealthOK)
 }
 
 // pullFrom pages through peer's commit log from our cursor, replaying
-// every entry locally. Replays are idempotent whole-workload
-// replacements, so overlapping pulls from different peers converge.
-func (m *membership) pullFrom(peer string) (int, error) {
+// every entry locally, up to the log length its first page reported:
+// later entries reach us by live replication, so a peer committing faster
+// than we replay cannot keep the pull going. Replays are idempotent
+// whole-workload replacements, so overlapping pulls from different peers
+// converge. A pull that fails leaves pullPending set, and the next ok
+// probe of peer retries it.
+func (m *membership) pullFrom(peer string) {
 	m.syncMu.Lock()
 	defer m.syncMu.Unlock()
-	total := 0
+	var head uint64
 	for page := 0; ; page++ {
 		m.mu.Lock()
 		cursor := m.peers[peer].cursor
 		m.mu.Unlock()
 		resp, err := m.fetchSync(peer, cursor)
 		if err != nil {
-			return total, err
+			return
+		}
+		if page == 0 {
+			head = resp.CommitSeq
 		}
 		for _, e := range resp.Entries {
-			applied, err := m.n.applySynced(CommitEntry{Stamp: e.Stamp, Origin: e.Origin, Body: []byte(e.Body)})
-			if err != nil {
-				return total, err
-			}
-			// Only count entries that changed state: superseded and
-			// duplicate entries advance the cursor without resetting the
-			// warmup quiet counter, so catch-up converges even while live
-			// replication keeps delivering the same commits.
-			if applied {
-				total++
+			if err := m.n.applySynced(CommitEntry{Stamp: e.Stamp, Origin: e.Origin, Body: []byte(e.Body)}); err != nil {
+				return
 			}
 		}
+		done := !resp.More || resp.Next >= head
 		m.mu.Lock()
 		if resp.Next > m.peers[peer].cursor {
 			m.peers[peer].cursor = resp.Next
 		}
-		if !resp.More {
+		if done {
 			m.peers[peer].pullPending = false
 		}
 		m.mu.Unlock()
-		if !resp.More || m.stopped() {
-			return total, nil
+		if done || m.stopped() {
+			return
 		}
 	}
 }
@@ -449,8 +440,8 @@ func (m *membership) pullFrom(peer string) (int, error) {
 func (m *membership) fetchSync(peer string, since uint64) (*syncResponse, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 4*m.cfg.Timeout)
 	defer cancel()
-	url := fmt.Sprintf("%s/v1/cluster/sync?since=%d", m.n.urls[peer], since)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	target := fmt.Sprintf("%s/v1/cluster/sync?since=%d&from=%s", m.n.urls[peer], since, url.QueryEscape(m.n.id))
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -472,16 +463,16 @@ func (m *membership) fetchSync(peer string, since uint64) (*syncResponse, error)
 
 // applySynced replays one commit-log entry exactly as a live replicated
 // commit would apply: through the per-tenant commit-order guard, under
-// commitMu, never re-broadcast. It reports whether the entry actually
-// applied — entries already delivered by live replication, or superseded
-// by a newer commit, are skipped.
-func (n *Node) applySynced(e CommitEntry) (bool, error) {
+// commitMu, never re-broadcast. Only entries that changed state count as
+// replayed — entries already delivered by live replication, or
+// superseded by a newer commit, are skipped.
+func (n *Node) applySynced(e CommitEntry) error {
 	applied, rec := n.applyReplicated(e.Stamp, e.Origin, e.Body)
 	if rec.status != http.StatusOK {
-		return false, fmt.Errorf("clusterserve: replaying synced commit: status %d: %s", rec.status, rec.body.String())
+		return fmt.Errorf("clusterserve: replaying synced commit: status %d: %s", rec.status, rec.body.String())
 	}
 	if applied {
 		n.inst.SyncReplayed.Inc()
 	}
-	return applied, nil
+	return nil
 }

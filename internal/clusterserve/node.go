@@ -2,6 +2,7 @@ package clusterserve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -196,8 +197,9 @@ type Node struct {
 	// clog records every committed delta this replica applied, in apply
 	// order, for the /v1/cluster/sync catch-up endpoint.
 	clog *CommitLog
-	// member runs the health probers once Start is called; nil means
-	// static membership (every configured peer permanently Up).
+	// member is the peer state machine, built by New (nil without peers)
+	// and never reassigned, so handlers may read it before Start returns.
+	// Until Start runs its probers every configured peer reads Up.
 	member *membership
 	// draining latches once BeginDrain is called so the warmup catch-up
 	// finishing cannot flip a SIGTERM'd replica back to healthy.
@@ -298,6 +300,9 @@ func New(cfg Config, reg *metrics.Registry) (*Node, error) {
 		lastCommit: make(map[int]commitMark),
 	}
 	n.active.Store(ring)
+	if len(urls) > 0 {
+		n.member = newMembership(n, cfg.Probe)
+	}
 	if n.client == nil {
 		n.client = &http.Client{}
 	}
@@ -321,15 +326,14 @@ func (n *Node) ActiveRing() *Ring {
 }
 
 // Start launches the self-healing layer: the rejoin catch-up (Warming
-// until caught up) followed by the per-peer health probers. A node that
-// is never started keeps static membership. Start and Stop are lifecycle
-// calls — invoke them from one goroutine, before and after serving.
+// until caught up, from the moment Start returns) alongside the per-peer
+// health probers. A node that is never started keeps static membership.
+// Start and Stop are lifecycle calls — invoke them from one goroutine,
+// before and after serving.
 func (n *Node) Start() {
-	if n.member != nil || len(n.urls) == 0 {
-		return
+	if n.member != nil {
+		n.member.start()
 	}
-	n.member = newMembership(n, n.cfg.Probe)
-	n.member.start()
 }
 
 // Stop halts the probers and waits for them to exit. The node keeps
@@ -363,23 +367,10 @@ func (n *Node) setHealth(status string) {
 // MemberStates snapshots peer membership as seen from this node. Without
 // a running prober every configured peer reads Up.
 func (n *Node) MemberStates() map[string]MemberState {
-	if n.member != nil {
-		return n.member.states()
-	}
-	out := make(map[string]MemberState, len(n.urls))
-	for id := range n.urls {
-		out[id] = MemberUp
-	}
-	return out
-}
-
-// replicable reports whether committed deltas should be broadcast to
-// peer. Down peers are skipped — the commit log heals them on rejoin.
-func (n *Node) replicable(peer string) bool {
 	if n.member == nil {
-		return true
+		return map[string]MemberState{}
 	}
-	return n.member.replicable(peer)
+	return n.member.states()
 }
 
 // CommitSeq is the highest sequence number in this node's commit log.
@@ -594,20 +585,23 @@ func (n *Node) applyDelta(w http.ResponseWriter, r *http.Request, body []byte, t
 		return
 	}
 	rec := &bufferedResponse{header: http.Header{}}
-	var stamp uint64
+	var (
+		entry CommitEntry
+		seq   uint64
+	)
 	func() {
 		n.commitMu.Lock()
 		defer n.commitMu.Unlock()
 		n.local.ServeHTTP(rec, rewound(r, body))
 		if rec.status == http.StatusOK {
 			n.lamport++
-			stamp = n.lamport
-			n.lastCommit[tenant] = commitMark{stamp: stamp, origin: n.id}
-			n.clog.Append(CommitEntry{Stamp: stamp, Origin: n.id, Body: body})
+			entry = CommitEntry{Stamp: n.lamport, Origin: n.id, Body: body}
+			n.lastCommit[tenant] = commitMark{stamp: entry.Stamp, origin: n.id}
+			seq = n.clog.Append(entry)
 		}
 	}()
 	if rec.status == http.StatusOK {
-		n.replicate(stamp, body)
+		n.replicate(seq, entry)
 	}
 	rec.flushTo(w)
 }
@@ -651,41 +645,65 @@ func (n *Node) applyReplicated(stamp uint64, origin string, body []byte) (bool, 
 	return false, rec
 }
 
-// replicate broadcasts a committed delta to every non-Down peer — Warming
-// peers included, to keep their replay tails short; Down peers heal via
-// the commit log on rejoin. The per-tenant commit order at receivers lets
-// concurrent commits for different tenants interleave in any order and
-// still converge.
-func (n *Node) replicate(stamp uint64, body []byte) {
+// replicate broadcasts the commit at log sequence seq to every non-Down
+// peer — Warming peers included, so their catch-up misses nothing. A peer
+// the commit does not reach, because it is Down or the send fails, is
+// marked for a re-send once a probe finds it replicable again. The
+// per-tenant commit order at receivers lets concurrent commits for
+// different tenants interleave in any order and still converge.
+func (n *Node) replicate(seq uint64, e CommitEntry) {
 	for _, id := range n.ring.peers {
-		base, ok := n.urls[id]
-		if !ok {
+		if _, ok := n.urls[id]; !ok {
 			continue
 		}
-		if !n.replicable(id) {
-			continue
+		if !n.member.replicable(id) || !n.push(context.Background(), id, e) {
+			n.member.undelivered(id, seq)
 		}
-		req, err := http.NewRequest(http.MethodPost, base+"/v1/demand/delta", bytes.NewReader(body))
-		if err != nil {
-			n.inst.ReplicationErrors.Inc()
-			continue
-		}
-		req.Header.Set(HeaderReplicate, n.id)
-		req.Header.Set(HeaderCommitStamp, strconv.FormatUint(stamp, 10))
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.client.Do(req)
-		if err != nil {
-			n.inst.ReplicationErrors.Inc()
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			n.inst.ReplicationErrors.Inc()
-			continue
-		}
-		n.inst.Replications.Inc()
 	}
+}
+
+// resend pushes peer every entry of our commit log from sequence from to
+// the current end. Each entry keeps its own stamp and origin, so the
+// receiver's per-tenant guard skips what it already has. The first
+// failure marks that entry again for the next probe. The pushes share a
+// sync pull's deadline: the calling probe loop must not hang on a peer
+// that accepts and then stalls.
+func (n *Node) resend(peer string, from uint64) {
+	ctx, cancel := context.WithTimeout(context.Background(), 4*n.member.cfg.Timeout)
+	defer cancel()
+	entries, _ := n.clog.Since(from-1, int(n.clog.Len()-from+1))
+	for i, e := range entries {
+		if !n.push(ctx, peer, e) {
+			n.member.undelivered(peer, from+uint64(i))
+			return
+		}
+	}
+}
+
+// push sends one commit-log entry to peer as a replicated commit and
+// reports whether the peer acknowledged it.
+func (n *Node) push(ctx context.Context, peer string, e CommitEntry) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, n.urls[peer]+"/v1/demand/delta", bytes.NewReader(e.Body))
+	if err != nil {
+		n.inst.ReplicationErrors.Inc()
+		return false
+	}
+	req.Header.Set(HeaderReplicate, e.Origin)
+	req.Header.Set(HeaderCommitStamp, strconv.FormatUint(e.Stamp, 10))
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := n.client.Do(req)
+	if err != nil {
+		n.inst.ReplicationErrors.Inc()
+		return false
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		n.inst.ReplicationErrors.Inc()
+		return false
+	}
+	n.inst.Replications.Inc()
+	return true
 }
 
 // handleInfo serves the cluster introspection endpoint.
