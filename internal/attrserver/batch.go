@@ -16,13 +16,14 @@ import (
 // only if it is still running when the window closes; computations are
 // usually far shorter than the window, so it runs fn instead, and fn must
 // serve a result that landed meanwhile (Server.resolve checks the cache).
+// Every schedule generation owns one; its maps are made on the first miss.
 type batcher struct {
 	window  time.Duration
-	flights *flightGroup
+	flights flightGroup
 	inst    *Instruments
 
 	mu      sync.Mutex
-	pending map[string]*pendingBatch
+	pending map[cacheKey]*pendingBatch // nil until the first miss
 }
 
 type pendingBatch struct {
@@ -32,26 +33,28 @@ type pendingBatch struct {
 	size int
 }
 
-func newBatcher(window time.Duration, inst *Instruments) *batcher {
-	return &batcher{
+func newBatcher(window time.Duration, inst *Instruments) batcher {
+	return batcher{
 		window: window,
 		// A batch attaching to an in-flight computation coalesces its
 		// opener too — the joiners were already counted on entry.
-		flights: newFlightGroup(func() { inst.Coalesced.Inc() }),
+		flights: flightGroup{dups: inst.Coalesced},
 		inst:    inst,
-		pending: map[string]*pendingBatch{},
 	}
 }
 
 // Do resolves key through the batch window + singleflight stack. Waiting
 // is bounded by ctx; the computation, once started, is not.
-func (b *batcher) Do(ctx context.Context, key string, fn func() (any, error)) (any, error) {
+func (b *batcher) Do(ctx context.Context, key cacheKey, fn func() (any, error)) (any, error) {
 	b.mu.Lock()
 	if p, ok := b.pending[key]; ok {
 		p.size++
 		b.mu.Unlock()
 		b.inst.Coalesced.Inc()
 		return p.wait(ctx)
+	}
+	if b.pending == nil {
+		b.pending = make(map[cacheKey]*pendingBatch)
 	}
 	p := &pendingBatch{done: make(chan struct{}), size: 1}
 	b.pending[key] = p
@@ -64,7 +67,7 @@ func (b *batcher) Do(ctx context.Context, key string, fn func() (any, error)) (a
 // fire closes the batch and executes it. The batch is removed from pending
 // first, so late queries open a fresh batch that the singleflight layer
 // will attach to this execution if it is still running.
-func (b *batcher) fire(key string, p *pendingBatch, fn func() (any, error)) {
+func (b *batcher) fire(key cacheKey, p *pendingBatch, fn func() (any, error)) {
 	b.mu.Lock()
 	delete(b.pending, key)
 	size := p.size

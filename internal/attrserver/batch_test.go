@@ -12,7 +12,8 @@ import (
 
 func newTestBatcher(window time.Duration) (*batcher, *Instruments) {
 	inst := NewInstruments(metrics.NewRegistry())
-	return newBatcher(window, inst), inst
+	b := newBatcher(window, inst)
+	return &b, inst
 }
 
 func TestBatcherMergesWindowedQueries(t *testing.T) {
@@ -27,7 +28,7 @@ func TestBatcherMergesWindowedQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := b.Do(context.Background(), "k", fn)
+			v, err := b.Do(context.Background(), testKey("k"), fn)
 			if err != nil {
 				t.Error(err)
 			}
@@ -56,10 +57,10 @@ func TestBatcherZeroWindowComputesImmediately(t *testing.T) {
 
 	// Sequential queries with a zero window each compute: batching is off,
 	// and nothing is in flight to attach to.
-	if v, _ := b.Do(context.Background(), "k", fn); v.(int64) != 1 {
+	if v, _ := b.Do(context.Background(), testKey("k"), fn); v.(int64) != 1 {
 		t.Fatalf("first call got %v, want 1", v)
 	}
-	if v, _ := b.Do(context.Background(), "k", fn); v.(int64) != 2 {
+	if v, _ := b.Do(context.Background(), testKey("k"), fn); v.(int64) != 2 {
 		t.Fatalf("second call got %v, want 2", v)
 	}
 }
@@ -80,7 +81,7 @@ func TestBatcherSecondGenerationAttachesToInflightComputation(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if v, err := b.Do(context.Background(), "k", fn); err != nil || v.(string) != "slow" {
+		if v, err := b.Do(context.Background(), testKey("k"), fn); err != nil || v.(string) != "slow" {
 			t.Errorf("first generation got (%v, %v)", v, err)
 		}
 	}()
@@ -91,7 +92,7 @@ func TestBatcherSecondGenerationAttachesToInflightComputation(t *testing.T) {
 		// This query opens a second batch (the first already fired); when
 		// its window closes it must attach to the in-flight computation
 		// instead of starting a second one.
-		if v, err := b.Do(context.Background(), "k", fn); err != nil || v.(string) != "slow" {
+		if v, err := b.Do(context.Background(), testKey("k"), fn); err != nil || v.(string) != "slow" {
 			t.Errorf("second generation got (%v, %v)", v, err)
 		}
 	}()
@@ -121,7 +122,7 @@ func TestBatcherKeysBatchIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(key string) {
 			defer wg.Done()
-			if _, err := b.Do(context.Background(), key, fn); err != nil {
+			if _, err := b.Do(context.Background(), testKey(key), fn); err != nil {
 				t.Error(err)
 			}
 		}(key)
@@ -136,7 +137,7 @@ func TestBatcherWaiterHonorsContext(t *testing.T) {
 	b, _ := newTestBatcher(time.Hour) // window never fires within the test
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := b.Do(ctx, "k", func() (any, error) { return nil, nil }); err == nil {
+	if _, err := b.Do(ctx, testKey("k"), func() (any, error) { return nil, nil }); err == nil {
 		t.Fatal("cancelled waiter returned nil error")
 	}
 }

@@ -31,6 +31,19 @@ func firstDraw(tb testing.TB, workloads, slices int) *schedule.Schedule {
 	}
 }
 
+// drawServer serves sched with the daemon's defaults at budget 1000.
+func drawServer(tb testing.TB, sched *schedule.Schedule) *Server {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Schedule = sched
+	cfg.Budget = 1000
+	srv, err := New(cfg, metrics.NewRegistry())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
 // BenchmarkDeltaEdit times one POST /v1/demand/delta through
 // Server.Handler() with the daemon's defaults, without sockets: a
 // fair-co2 what-if, a ground-truth what-if and a commit on a 12-workload,
@@ -52,14 +65,7 @@ func BenchmarkDeltaEdit(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Schedule = tc.sched
-			cfg.Budget = 1000
-			srv, err := New(cfg, metrics.NewRegistry())
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := srv.Handler()
+			h := drawServer(b, tc.sched).Handler()
 			var bodies [][]byte
 			for _, c := range schedule.DefaultGeneratorConfig().CoreChoices {
 				if c != tc.sched.Workloads[0].Cores && len(bodies) < 2 {
@@ -74,6 +80,39 @@ func BenchmarkDeltaEdit(b *testing.B) {
 				if rec.Code != http.StatusOK {
 					b.Fatalf("status %d: %s", rec.Code, rec.Body)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkQueryHit times one cache hit through Server.Handler() with the
+// daemon's defaults, without sockets, on BenchmarkDeltaEdit's 12-workload,
+// 7-slice draw: the full-window fair-co2 answer as attribution for every
+// tenant and for one, as shares and as a bill. Each case warms its key
+// first, so every iteration parses, looks up and renders.
+func BenchmarkQueryHit(b *testing.B) {
+	h := drawServer(b, firstDraw(b, 12, 7)).Handler()
+	cases := []struct{ name, target string }{
+		{"attribution", "/v1/attribution?method=fair-co2"},
+		{"attribution-tenant", "/v1/attribution?method=fair-co2&tenant=3"},
+		{"share", "/v1/share?method=fair-co2"},
+		{"billing", "/v1/billing?method=fair-co2"},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, tc.target, nil)
+			serve := func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
+			serve()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
 			}
 		})
 	}

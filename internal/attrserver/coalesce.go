@@ -3,19 +3,21 @@ package attrserver
 import (
 	"context"
 	"sync"
+
+	"fairco2/internal/metrics"
 )
 
 // flightGroup is a stdlib-only singleflight: concurrent Do calls with the
 // same key share one execution of fn. The execution runs in its own
 // goroutine, so a caller abandoning its wait (context timeout) never
 // cancels the computation for the others — the result still lands in the
-// cache for the next query.
+// cache for the next query. The zero value is ready to use.
 type flightGroup struct {
 	mu    sync.Mutex
-	calls map[string]*flight
-	// onDup, when set, is invoked once for every caller that attached to
-	// an already-in-flight execution instead of starting its own.
-	onDup func()
+	calls map[cacheKey]*flight // nil until the first call
+	// dups, when set, counts every caller that attached to an
+	// already-in-flight execution instead of starting its own.
+	dups *metrics.Counter
 }
 
 type flight struct {
@@ -24,20 +26,19 @@ type flight struct {
 	err  error
 }
 
-func newFlightGroup(onDup func()) *flightGroup {
-	return &flightGroup{calls: map[string]*flight{}, onDup: onDup}
-}
-
 // Do executes fn once per key among concurrent callers and returns the
 // shared result. Waiting is bounded by ctx; the execution itself is not.
-func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)) (any, error) {
+func (g *flightGroup) Do(ctx context.Context, key cacheKey, fn func() (any, error)) (any, error) {
 	g.mu.Lock()
 	if fl, ok := g.calls[key]; ok {
 		g.mu.Unlock()
-		if g.onDup != nil {
-			g.onDup()
+		if g.dups != nil {
+			g.dups.Inc()
 		}
 		return fl.wait(ctx)
+	}
+	if g.calls == nil {
+		g.calls = make(map[cacheKey]*flight)
 	}
 	fl := &flight{done: make(chan struct{})}
 	g.calls[key] = fl

@@ -7,11 +7,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fairco2/internal/metrics"
 )
 
 func TestFlightGroupSharesOneExecution(t *testing.T) {
-	var dups, calls atomic.Int64
-	g := newFlightGroup(func() { dups.Add(1) })
+	var calls atomic.Int64
+	inst := NewInstruments(metrics.NewRegistry())
+	g := &flightGroup{dups: inst.Coalesced}
 
 	const n = 16
 	release := make(chan struct{})
@@ -28,15 +31,15 @@ func TestFlightGroupSharesOneExecution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = g.Do(context.Background(), "k", fn)
+			results[i], errs[i] = g.Do(context.Background(), testKey("k"), fn)
 		}(i)
 	}
 	// Every non-leader registers as a dup before blocking, so this poll
 	// converges exactly when all n callers have attached.
 	deadline := time.Now().Add(5 * time.Second)
-	for dups.Load() != n-1 {
+	for inst.Coalesced.Value() != n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("dups = %d after 5s, want %d", dups.Load(), n-1)
+			t.Fatalf("dups = %v after 5s, want %d", inst.Coalesced.Value(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -55,12 +58,12 @@ func TestFlightGroupSharesOneExecution(t *testing.T) {
 
 func TestFlightGroupKeysAreIndependent(t *testing.T) {
 	var calls atomic.Int64
-	g := newFlightGroup(nil)
+	g := &flightGroup{}
 	fn := func() (any, error) { return calls.Add(1), nil }
-	if _, err := g.Do(context.Background(), "a", fn); err != nil {
+	if _, err := g.Do(context.Background(), testKey("a"), fn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Do(context.Background(), "b", fn); err != nil {
+	if _, err := g.Do(context.Background(), testKey("b"), fn); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -70,31 +73,30 @@ func TestFlightGroupKeysAreIndependent(t *testing.T) {
 
 func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 	var calls atomic.Int64
-	g := newFlightGroup(nil)
+	g := &flightGroup{}
 	fn := func() (any, error) { return calls.Add(1), nil }
-	v1, _ := g.Do(context.Background(), "k", fn)
-	v2, _ := g.Do(context.Background(), "k", fn)
+	v1, _ := g.Do(context.Background(), testKey("k"), fn)
+	v2, _ := g.Do(context.Background(), testKey("k"), fn)
 	if v1.(int64) != 1 || v2.(int64) != 2 {
 		t.Errorf("sequential calls got %v, %v; want 1, 2 (no stale sharing)", v1, v2)
 	}
 }
 
 func TestFlightGroupPropagatesErrors(t *testing.T) {
-	g := newFlightGroup(nil)
+	g := &flightGroup{}
 	boom := errors.New("boom")
-	if _, err := g.Do(context.Background(), "k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := g.Do(context.Background(), testKey("k"), func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want boom", err)
 	}
 }
 
 func TestFlightGroupWaiterHonorsContext(t *testing.T) {
-	var dups atomic.Int64
-	g := newFlightGroup(func() { dups.Add(1) })
+	g := &flightGroup{}
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
 		close(started)
-		_, _ = g.Do(context.Background(), "k", func() (any, error) {
+		_, _ = g.Do(context.Background(), testKey("k"), func() (any, error) {
 			<-release
 			return "late", nil
 		})
@@ -104,7 +106,7 @@ func TestFlightGroupWaiterHonorsContext(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		g.mu.Lock()
-		_, inflight := g.calls["k"]
+		_, inflight := g.calls[testKey("k")]
 		g.mu.Unlock()
 		if inflight {
 			break
@@ -117,7 +119,7 @@ func TestFlightGroupWaiterHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := g.Do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+	if _, err := g.Do(ctx, testKey("k"), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled waiter got %v, want context.Canceled", err)
 	}
 	close(release)

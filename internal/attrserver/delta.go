@@ -21,9 +21,9 @@ import (
 //
 // A what-if takes no lock and leaves the server untouched; ground-truth
 // what-ifs, which build a 2^n table each, run one at a time. Commits
-// serialize on commitMu; each swaps the snapshot and warms the result
-// cache under the new fingerprint with the cheap full-window answers
-// (fair-co2, rup, demand-proportional) and the committed method's own.
+// serialize on commitMu; each builds the next schedule generation, warms
+// its fresh cache with the cheap full-window answers (fair-co2, rup,
+// demand-proportional) and the committed method's own, and publishes it.
 // Ground truth costs 2^n, so a commit leaves it to the one replica that
 // owns its key, which computes it on its first read.
 
@@ -134,9 +134,11 @@ func (s *Server) applyDelta(ctx context.Context, req deltaRequest) (*deltaRespon
 		}
 		return nil, http.StatusBadRequest, err
 	}
-	fp := configFingerprint(trial, s.cfg.Budget)
+	var fp uint32
 	if req.Commit {
-		s.commit(trial, fp, ans)
+		fp = s.commit(trial, ans)
+	} else {
+		fp = configFingerprint(trial, s.cfg.Budget)
 	}
 	return &deltaResponse{
 		Method:      ans.Method,
@@ -150,30 +152,30 @@ func (s *Server) applyDelta(ctx context.Context, req deltaRequest) (*deltaRespon
 	}, 0, nil
 }
 
-// commit publishes sched as the serving snapshot and warms the result
-// cache under its fingerprint with ans and the cheap full-window answers.
-// Under static pricing those entries are what compute() would produce, so
-// the next full-window GETs for those methods are hits; under live
-// pricing budgets are signal-driven per query, so nothing is warmed.
-// Callers hold commitMu.
-func (s *Server) commit(sched *schedule.Schedule, fp uint32, ans *answer) {
-	s.state.Store(&schedState{sched: sched, fp: fp})
-	if s.cfg.Feed != nil {
-		return
-	}
-	warm := []*answer{ans}
-	for _, m := range []string{MethodFairCO2, MethodRUP, MethodDemandProportional} {
-		if m == ans.Method {
-			continue
+// commit builds the generation serving sched, warms its cache with ans
+// and the cheap full-window answers, publishes it and returns its
+// fingerprint. Under static pricing those entries are what compute()
+// would produce, so the next full-window GETs for those methods are hits;
+// under live pricing budgets are signal-driven per query, so nothing is
+// warmed. Callers hold commitMu.
+func (s *Server) commit(sched *schedule.Schedule, ans *answer) uint32 {
+	next := s.generation(sched)
+	if s.cfg.Feed == nil {
+		warm := func(a *answer) {
+			next.cache.put(cacheKey{method: a.Method, start: 0, end: sched.Slices}, a, a.sizeBytes(), s.cfg.CacheTTL)
 		}
-		if a, err := s.fullWindow(m, sched); err == nil {
-			warm = append(warm, a)
+		warm(ans)
+		for _, m := range []string{MethodFairCO2, MethodRUP, MethodDemandProportional} {
+			if m == ans.Method {
+				continue
+			}
+			if a, err := s.fullWindow(m, sched); err == nil {
+				warm(a)
+			}
 		}
 	}
-	for _, a := range warm {
-		key := querySpec{method: a.Method, start: 0, end: sched.Slices, tenant: -1}.cacheKey(fp)
-		s.cache.put(key, a, a.sizeBytes(key), s.cfg.CacheTTL)
-	}
+	s.state.Store(next)
+	return next.fp
 }
 
 // fullWindow answers a standard method over the whole of sched at the

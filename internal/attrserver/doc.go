@@ -5,17 +5,17 @@
 //
 // The handlers are thin; the substrate does the work:
 //
-//   - A sharded in-memory result cache (cache.go) keyed by the same
-//     config-fingerprint machinery the checkpointed sweeps use
-//     (internal/checkpoint CRC fingerprints over the schedule, budget,
-//     method and period). Shards carry independent RW locks, LRU lists and
+//   - A sharded in-memory result cache (cache.go) per schedule
+//     generation, keyed by method and period: a delta commit starts a
+//     fresh one, so a result never outlives the configuration it was
+//     computed for. Shards carry independent RW locks, LRU lists and
 //     byte budgets; entry TTL is tied to the staleness of the live signal
 //     the result was priced against (internal/livesignal's degradation
 //     ladder), so a result never outlives the signal that justified it.
 //   - Request coalescing (coalesce.go): a stdlib-only singleflight group.
-//     N concurrent queries for the same (tenant-set, period, config) key
-//     trigger exactly one Shapley computation on the parallel engine; the
-//     rest wait for the shared result.
+//     N concurrent queries for the same (method, period) key of one
+//     generation trigger exactly one Shapley computation on the parallel
+//     engine; the rest wait for the shared result.
 //   - Batched evaluation (batch.go): queries arriving within a small
 //     window for the same period are merged into one attribution call —
 //     one computation prices every tenant in the window, and the result

@@ -21,7 +21,8 @@ type Instruments struct {
 	CacheHits   *metrics.Counter
 	CacheMisses *metrics.Counter
 	// CacheEvictions counts entries dropped by the byte-budget LRU or by
-	// TTL expiry.
+	// TTL expiry. A generation a commit supersedes drops its cache
+	// whole, uncounted.
 	CacheEvictions *metrics.Counter
 	// Coalesced counts queries served by a computation they did not
 	// trigger: joins of a pending batch plus batches that attached to an

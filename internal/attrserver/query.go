@@ -26,12 +26,11 @@ const (
 // is nothing to attribute, which is a client error, not a server one.
 var errEmptyPeriod = errors.New("attrserver: period has no running workloads")
 
-// querySpec is a parsed, validated attribution query.
+// querySpec is a parsed, validated attribution query: the method and the
+// queried slice window [start, end), which key its result, plus a tenant
+// filter.
 type querySpec struct {
-	// method names the attribution method.
-	method string
-	// start and end bound the queried slice window [start, end).
-	start, end int
+	cacheKey
 	// tenant filters the response to one workload ID; -1 means all.
 	tenant int
 }
@@ -44,7 +43,7 @@ type querySpec struct {
 //	tenant  workload ID to filter to       (default all)
 func (s *Server) parseQuery(r *http.Request) (querySpec, error) {
 	st := s.snapshot()
-	q := querySpec{method: MethodFairCO2, start: 0, end: st.sched.Slices, tenant: -1}
+	q := querySpec{cacheKey: cacheKey{method: MethodFairCO2, start: 0, end: st.sched.Slices}, tenant: -1}
 	vals := r.URL.Query()
 
 	if m := vals.Get("method"); m != "" {
@@ -78,35 +77,32 @@ func (s *Server) parseQuery(r *http.Request) (querySpec, error) {
 	return q, nil
 }
 
-// cacheKey identifies a result: the config fingerprint plus the query's
-// method and period. The tenant is deliberately excluded — one cached
-// vector prices every tenant in the window.
-func (q querySpec) cacheKey(fp uint32) string {
-	return fmt.Sprintf("cfg=%08x/m=%s/p=%d:%d", fp, q.method, q.start, q.end)
-}
-
 // CanonicalQueryKey parses r exactly as the GET query endpoints do and
-// returns the computation identity it resolves to — the result-cache key.
-// The cluster proxy routes on this key: identical queries route to one
-// owner, whose cache + singleflight then guarantee the computation runs
-// at most once cluster-wide.
+// returns the ring key of the computation it resolves to: the config
+// fingerprint plus the query's method and period, as
+// "cfg=%08x/m=<method>/p=<start>:<end>". The cluster proxy routes on this
+// key: identical queries route to one owner, whose cache + singleflight
+// then guarantee the computation runs at most once cluster-wide. The
+// result cache itself keys by method and period only, within the
+// schedule generation the fingerprint names.
 func (s *Server) CanonicalQueryKey(r *http.Request) (string, error) {
 	q, err := s.parseQuery(r)
 	if err != nil {
 		return "", err
 	}
-	return q.cacheKey(s.snapshot().fp), nil
+	return fmt.Sprintf("cfg=%08x/m=%s/p=%d:%d", s.snapshot().fp, q.method, q.start, q.end), nil
 }
 
 // Fingerprint returns the serving schedule's current config fingerprint —
-// the same value embedded in cache keys and rotated by delta commits.
+// the same value embedded in ring keys and rotated by delta commits.
 func (s *Server) Fingerprint() uint32 { return s.snapshot().fp }
 
-// configFingerprint keys the cache by everything a result depends on
-// besides the query itself: the schedule layout and the static budget,
-// hashed with the same CRC machinery the checkpointed sweeps use for their
-// config keys. Parallelism is excluded — attribution is bitwise-identical
-// for any worker count, the same contract checkpoint resume relies on.
+// configFingerprint names everything a result depends on besides the
+// query itself, for ring keys and cluster convergence checks: the schedule
+// layout and the static budget, hashed with the same CRC machinery the
+// checkpointed sweeps use for their config keys. Parallelism is excluded —
+// attribution is bitwise-identical for any worker count, the same contract
+// checkpoint resume relies on.
 func configFingerprint(s *schedule.Schedule, budget units.GramsCO2e) uint32 {
 	vals := make([]uint64, 0, 4+3*len(s.Workloads))
 	vals = append(vals,

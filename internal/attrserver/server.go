@@ -40,7 +40,8 @@ type Config struct {
 	// embedding callers opt in explicitly.
 	EnableDelta bool
 
-	// CacheBytes bounds the result cache (default 8 MiB).
+	// CacheBytes bounds the result cache of each schedule generation
+	// (default 8 MiB).
 	CacheBytes int64
 	// CacheShards is rounded up to a power of two (default 16).
 	CacheShards int
@@ -178,8 +179,6 @@ type Server struct {
 	cfg     Config
 	reg     *metrics.Registry
 	inst    *Instruments
-	cache   *resultCache
-	batch   *batcher
 	std     map[string]attribution.Method // the four standard methods
 	methods map[string]attribution.Method // std plus Config.Methods
 	state   atomic.Pointer[schedState]
@@ -193,14 +192,29 @@ type Server struct {
 	started     time.Time
 }
 
-// schedState is the servable schedule and its cache fingerprint, swapped
-// atomically when a delta commit lands. Queries load one snapshot and use
-// it throughout, so a concurrent commit never mixes old and new state
-// within a single answer; results computed against a superseded snapshot
-// are cached under the superseded fingerprint and simply age out.
+// schedState is one schedule generation: the servable schedule, its
+// config fingerprint (the ring key, never a cache key), and the cache and
+// batch/singleflight state of the answers computed over it. A delta commit
+// builds and warms the next generation, then swaps it in atomically.
+// Queries load one generation and use it throughout, so a concurrent
+// commit never mixes old and new state within one answer, and a
+// superseded generation, cache included, is garbage once its last
+// in-flight request returns.
 type schedState struct {
 	sched *schedule.Schedule
 	fp    uint32
+	cache resultCache
+	batch batcher
+}
+
+// generation builds an empty generation serving sched.
+func (s *Server) generation(sched *schedule.Schedule) *schedState {
+	return &schedState{
+		sched: sched,
+		fp:    configFingerprint(sched, s.cfg.Budget),
+		cache: newResultCache(s.cfg.CacheBytes, s.cfg.CacheShards, s.cfg.Now, s.inst),
+		batch: newBatcher(s.cfg.BatchWindow, s.inst),
+	}
 }
 
 // snapshot returns the current schedule state.
@@ -225,15 +239,13 @@ func New(cfg Config, reg *metrics.Registry) (*Server, error) {
 		cfg:     cfg,
 		reg:     reg,
 		inst:    inst,
-		cache:   newResultCache(cfg.CacheBytes, cfg.CacheShards, cfg.Now, inst),
-		batch:   newBatcher(cfg.BatchWindow, inst),
 		started: cfg.Now(),
 		std:     std,
 		methods: methods,
 
 		groundTruth: make(chan struct{}, 1),
 	}
-	s.state.Store(&schedState{sched: cfg.Schedule, fp: configFingerprint(cfg.Schedule, cfg.Budget)})
+	s.state.Store(s.generation(cfg.Schedule))
 	return s, nil
 }
 
@@ -251,33 +263,34 @@ type answer struct {
 	Grams      []float64 // attribution per IDs entry; sums to Budget
 }
 
-// sizeBytes estimates the entry's cache footprint: key, strings, the two
-// parallel slices, and fixed struct overhead.
-func (a *answer) sizeBytes(key string) int64 {
-	const fixed = 160
-	return int64(len(key)+len(a.Method)+len(a.Quality)) + int64(len(a.IDs))*24 + fixed
+// sizeBytes estimates the entry's cache footprint: the strings, the two
+// parallel slices, and fixed overhead for the key and the structs.
+func (a *answer) sizeBytes() int64 {
+	const fixed = 192
+	return int64(len(a.Method)+len(a.Quality)) + int64(len(a.IDs))*24 + fixed
 }
 
-// resolve answers a query through the cache, then the batch/coalesce
-// stack. Waiting is bounded by ctx; a computation, once started, always
-// finishes and fills the cache.
+// resolve answers a query through the current generation's cache, then
+// its batch/coalesce stack. Waiting is bounded by ctx; a computation, once
+// started, always finishes and fills the cache of the generation it was
+// computed for.
 func (s *Server) resolve(ctx context.Context, q querySpec) (*answer, error) {
 	st := s.snapshot()
-	key := q.cacheKey(st.fp)
-	if v, ok := s.cache.get(key); ok {
+	key := q.cacheKey
+	if v, ok := st.cache.get(key); ok {
 		return v.(*answer), nil
 	}
-	v, err := s.batch.Do(ctx, key, func() (any, error) {
+	v, err := st.batch.Do(ctx, key, func() (any, error) {
 		// A query that missed while this key was being computed opened a
 		// later batch, which usually fires after that computation has
 		// cached its answer: serve it instead of computing it again. The
 		// check runs inside the flight, and a computation caches before
 		// it leaves the flight group, so it is either joined or found.
-		if v, ok := s.cache.peek(key); ok {
+		if v, ok := st.cache.peek(key); ok {
 			s.inst.Coalesced.Inc()
 			return v, nil
 		}
-		return s.compute(st, q, key)
+		return s.compute(st, q)
 	})
 	if err != nil {
 		return nil, err
@@ -286,7 +299,7 @@ func (s *Server) resolve(ctx context.Context, q querySpec) (*answer, error) {
 }
 
 // compute runs one attribution over the queried period and caches it.
-func (s *Server) compute(st *schedState, q querySpec, key string) (*answer, error) {
+func (s *Server) compute(st *schedState, q querySpec) (*answer, error) {
 	s.inst.Computations.With(q.method).Inc()
 	sub, ids, err := subSchedule(st.sched, q.start, q.end)
 	if err != nil {
@@ -311,7 +324,7 @@ func (s *Server) compute(st *schedState, q querySpec, key string) (*answer, erro
 	if err := s.gate(ans); err != nil {
 		return nil, err
 	}
-	s.cache.put(key, ans, ans.sizeBytes(key), ttl)
+	st.cache.put(q.cacheKey, ans, ans.sizeBytes(), ttl)
 	return ans, nil
 }
 
@@ -455,8 +468,8 @@ func (s *Server) HealthStatus() string {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	entries, bytes := s.cache.stats()
 	st := s.snapshot()
+	entries, bytes := st.cache.stats()
 	status := s.HealthStatus()
 	code := http.StatusOK
 	if status == HealthDraining {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"fairco2/internal/attrserver"
@@ -22,7 +23,9 @@ import (
 // This file is the chaos harness: RunChaos drives an in-process fleet
 // through a scripted fault timeline — kill one replica mid-load, latency-
 // spike another, restart the victim — while closed-loop query load and a
-// sequential commit stream keep running. It then waits for the cluster to
+// sequential commit stream keep running. The stream ends with one last
+// commit per tenant while the spike holds the flapped replica Down, so
+// those commits reach it only by re-send. It then waits for the cluster to
 // converge and differentially compares every replica's answers against a
 // single-process oracle that applied the same commits. The chaos test
 // suite asserts on the report under -race; cmd/cluster-chaos renders it
@@ -48,11 +51,14 @@ type ChaosConfig struct {
 	// Flap, when >= 0, names a replica whose fault gate gets a sticky
 	// latency spike from RestartAt until RestartAt+Duration/6, long
 	// enough past the probe timeout that probers evict and then readmit
-	// it (default 2; -1 disables).
+	// it (default 2; -1 disables). The commit stream ends inside the
+	// spike, once every other replica holds the flapped one Down.
 	Flap int
 	// FlapDelay is the injected latency (default 4x the probe timeout).
 	FlapDelay time.Duration
-	// CommitEvery paces the sequential commit stream (default 25ms).
+	// CommitEvery paces the sequential commit stream (default 25ms). The
+	// stream runs until the flapped replica is held Down, or until the
+	// load ends when no replica flaps.
 	CommitEvery time.Duration
 	// Probe and Hedge tune the self-healing layer; the defaults are a
 	// fast probe clock (40ms interval) so eviction and rejoin fit the
@@ -226,10 +232,24 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 
 	// Sequential commit stream: one goroutine, each commit acknowledged
 	// before the next is issued, so the per-tenant ordering the oracle
-	// replays is exactly the issue order.
+	// replays is exactly the issue order. endCommits stops it, then
+	// commits once more per tenant, to core counts the stream never sets,
+	// so the final configuration differs from every earlier one and a
+	// replica that misses one of these commits cannot converge by chance.
+	// They enter through replica 0, which is never the victim or the
+	// flapped replica.
 	commitStop := make(chan struct{})
 	commitDone := make(chan struct{})
 	var commitBodies [][]byte
+	commit := func(entry string, tenant, cores int) {
+		body := []byte(fmt.Sprintf(`{"tenant":%d,"cores":%d,"commit":true}`, tenant, cores))
+		if chaosCommit(entry, body) {
+			commitBodies = append(commitBodies, body)
+			rep.Commits++
+		} else {
+			rep.CommitErrors++
+		}
+	}
 	go func() {
 		defer close(commitDone)
 		t := time.NewTicker(cfg.CommitEvery)
@@ -240,23 +260,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 				return
 			case <-t.C:
 			}
-			body, err := json.Marshal(map[string]any{
-				"tenant": i % 4,
-				"cores":  1 + (i*3)%8,
-				"commit": true,
-			})
-			if err != nil {
-				rep.CommitErrors++
-				continue
-			}
-			if chaosCommit(entries[i%len(entries)], body) {
-				commitBodies = append(commitBodies, body)
-				rep.Commits++
-			} else {
-				rep.CommitErrors++
-			}
+			commit(entries[i%len(entries)], i%4, 1+(i*3)%8)
 		}
 	}()
+	endCommits := sync.OnceFunc(func() {
+		close(commitStop)
+		<-commitDone
+		for tenant := 0; tenant < 4; tenant++ {
+			commit(f.URLs[0], tenant, 9+tenant)
+		}
+	})
 
 	// Fault timeline.
 	timelineDone := make(chan struct{})
@@ -271,17 +284,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		// Wait for every survivor's prober to evict the victim.
 		evictBound := cfg.RestartAt - cfg.KillAt
 		for time.Since(killed) < evictBound {
-			all := true
-			for i, n := range f.Nodes {
-				if i == cfg.Victim {
-					continue
-				}
-				if n.MemberStates()[victimID] != MemberDown {
-					all = false
-					break
-				}
-			}
-			if all {
+			if heldDown(f, cfg.Victim) {
 				rep.Evicted = true
 				rep.EvictedIn = time.Since(killed)
 				cfg.Logf("chaos: victim evicted everywhere in %v", rep.EvictedIn)
@@ -303,7 +306,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return
 		}
 		if cfg.Flap >= 0 {
-			time.Sleep(cfg.Duration / 6)
+			clearAt := time.Now().Add(cfg.Duration / 6)
+			for time.Now().Before(clearAt) && !heldDown(f, cfg.Flap) {
+				time.Sleep(2 * time.Millisecond)
+			}
+			cfg.Logf("chaos: replica %s held down everywhere: %v; ending the commit stream", f.IDs[cfg.Flap], heldDown(f, cfg.Flap))
+			endCommits()
+			time.Sleep(time.Until(clearAt))
 			f.Gates[cfg.Flap].Clear()
 			cfg.Logf("chaos: latency spike cleared on replica %s", f.IDs[cfg.Flap])
 		}
@@ -323,8 +332,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 			return h
 		},
 	})
-	close(commitStop)
-	<-commitDone
+	endCommits()
 	<-timelineDone
 	if restartErr != nil {
 		return rep, restartErr
@@ -370,6 +378,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// heldDown reports whether every replica but i holds replica i Down.
+func heldDown(f *Fleet, i int) bool {
+	for j, n := range f.Nodes {
+		if j != i && n.MemberStates()[f.IDs[i]] != MemberDown {
+			return false
+		}
+	}
+	return true
 }
 
 // chaosCommit posts one commit, honoring 429 back-pressure, and reports

@@ -6,12 +6,12 @@
 //
 //   - Ring is an immutable consistent-hash ring (FNV-1a over virtual
 //     nodes) mapping computation keys to replica IDs. GET queries hash on
-//     their canonical computation key — the attrserver result-cache key,
-//     which embeds the schedule's checkpoint config fingerprint — so every
-//     query with the same computation identity lands on one owner; demand
-//     deltas hash on (fingerprint, tenant). Adding or removing a replica
-//     moves only the keys adjacent to its virtual nodes (~1/n of the
-//     space), which the ring property suite pins.
+//     their canonical computation key — the schedule's checkpoint config
+//     fingerprint plus the method and period the owner's result cache
+//     keys by — so every query with the same computation identity lands
+//     on one owner; demand deltas hash on (fingerprint, tenant). Adding or
+//     removing a replica moves only the keys adjacent to its virtual nodes
+//     (~1/n of the space), which the ring property suite pins.
 //
 //   - Admission control sheds load before it costs a computation: a
 //     sharded, memory-bounded table of per-tenant token buckets (millions

@@ -437,8 +437,13 @@ func (m *membership) pullFrom(peer string) {
 	}
 }
 
+// exchangeTimeout bounds one sync pull, one live replication push and
+// one peer's whole re-send: long enough for a live peer's answer, short
+// enough that a peer that accepts and then stalls cannot hold the caller.
+func (m *membership) exchangeTimeout() time.Duration { return 4 * m.cfg.Timeout }
+
 func (m *membership) fetchSync(peer string, since uint64) (*syncResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*m.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), m.exchangeTimeout())
 	defer cancel()
 	target := fmt.Sprintf("%s/v1/cluster/sync?since=%d&from=%s", m.n.urls[peer], since, url.QueryEscape(m.n.id))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)

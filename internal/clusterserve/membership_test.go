@@ -309,11 +309,9 @@ func TestMembershipResendsAfterInboundOutage(t *testing.T) {
 	}
 }
 
-// TestMembershipResendGivesUpOnStalledPeer: a re-send runs on a probe
-// loop, so a peer that accepts the request and then stalls must not hold
-// that loop: the push gives up at the sync deadline and the entry stays
-// marked for the next probe.
-func TestMembershipResendGivesUpOnStalledPeer(t *testing.T) {
+// stalledPeer serves a peer that reads each request's body and then
+// answers nothing until the client gives up or the test ends.
+func stalledPeer(t *testing.T) *httptest.Server {
 	release := make(chan struct{})
 	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -322,9 +320,14 @@ func TestMembershipResendGivesUpOnStalledPeer(t *testing.T) {
 		case <-release:
 		}
 	}))
-	defer stalled.Close()
-	defer close(release)
+	t.Cleanup(stalled.Close)
+	t.Cleanup(func() { close(release) })
+	return stalled
+}
 
+// nodeWithPeer builds an unstarted node "0" whose one peer, "1", is at
+// peerURL, with one commit in its log.
+func nodeWithPeer(t *testing.T, peerURL string) *Node {
 	reg := metrics.NewRegistry()
 	scfg := attrserver.DefaultConfig()
 	scfg.Schedule = FleetSchedule(8)
@@ -333,26 +336,51 @@ func TestMembershipResendGivesUpOnStalledPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := New(Config{ReplicaID: "0", Peers: map[string]string{"1": stalled.URL}, Server: srv, Probe: fastProbes()}, reg)
+	n, err := New(Config{ReplicaID: "0", Peers: map[string]string{"1": peerURL}, Server: srv, Probe: fastProbes()}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.clog.Append(CommitEntry{Stamp: 1, Origin: "0", Body: []byte(`{"tenant":1,"cores":7,"commit":true}`)})
+	return n
+}
 
+// requireMarkedWithin runs send and requires it to return within 2 s
+// with peer "1" marked for a re-send from sequence 1.
+func requireMarkedWithin(t *testing.T, n *Node, what string, send func()) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		n.resend("1", 1)
+		send()
 	}()
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("re-send to a stalled peer never returned")
+		t.Fatalf("%s to a stalled peer never returned", what)
 	}
 	n.member.mu.Lock()
 	mark := n.member.peers["1"].resend
 	n.member.mu.Unlock()
 	if mark != 1 {
-		t.Errorf("re-send mark after a stalled push = %d, want 1", mark)
+		t.Errorf("re-send mark after a stalled %s = %d, want 1", what, mark)
 	}
+}
+
+// TestMembershipReplicateGivesUpOnStalledPeer: a live push runs inside
+// the committing request, so a peer that accepts it and then stalls must
+// not hold that commit unacknowledged: the push gives up at the sync
+// deadline and the entry stays marked for the peer's next ok probe.
+func TestMembershipReplicateGivesUpOnStalledPeer(t *testing.T) {
+	n := nodeWithPeer(t, stalledPeer(t).URL)
+	e, _ := n.clog.Since(0, 1)
+	requireMarkedWithin(t, n, "live push", func() { n.replicate(1, e[0]) })
+}
+
+// TestMembershipResendGivesUpOnStalledPeer: a re-send runs on a probe
+// loop, so a peer that accepts the request and then stalls must not hold
+// that loop: the push gives up at the sync deadline and the entry stays
+// marked for the next probe.
+func TestMembershipResendGivesUpOnStalledPeer(t *testing.T) {
+	n := nodeWithPeer(t, stalledPeer(t).URL)
+	requireMarkedWithin(t, n, "re-send", func() { n.resend("1", 1) })
 }

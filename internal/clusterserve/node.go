@@ -647,16 +647,24 @@ func (n *Node) applyReplicated(stamp uint64, origin string, body []byte) (bool, 
 
 // replicate broadcasts the commit at log sequence seq to every non-Down
 // peer — Warming peers included, so their catch-up misses nothing. A peer
-// the commit does not reach, because it is Down or the send fails, is
-// marked for a re-send once a probe finds it replicable again. The
-// per-tenant commit order at receivers lets concurrent commits for
+// the commit does not reach, because it is Down, the send fails or the
+// peer does not answer within a sync pull's deadline, is marked for a
+// re-send once a probe finds it replicable again: a peer that accepts and
+// then stalls must not hold the commit, its handler or its queue slot.
+// The per-tenant commit order at receivers lets concurrent commits for
 // different tenants interleave in any order and still converge.
 func (n *Node) replicate(seq uint64, e CommitEntry) {
 	for _, id := range n.ring.peers {
 		if _, ok := n.urls[id]; !ok {
 			continue
 		}
-		if !n.member.replicable(id) || !n.push(context.Background(), id, e) {
+		sent := n.member.replicable(id)
+		if sent {
+			ctx, cancel := context.WithTimeout(context.Background(), n.member.exchangeTimeout())
+			sent = n.push(ctx, id, e)
+			cancel()
+		}
+		if !sent {
 			n.member.undelivered(id, seq)
 		}
 	}
@@ -669,7 +677,7 @@ func (n *Node) replicate(seq uint64, e CommitEntry) {
 // sync pull's deadline: the calling probe loop must not hang on a peer
 // that accepts and then stalls.
 func (n *Node) resend(peer string, from uint64) {
-	ctx, cancel := context.WithTimeout(context.Background(), 4*n.member.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.member.exchangeTimeout())
 	defer cancel()
 	entries, _ := n.clog.Since(from-1, int(n.clog.Len()-from+1))
 	for i, e := range entries {

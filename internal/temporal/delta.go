@@ -15,7 +15,8 @@ import (
 // SignalDelta owns a built intensity signal plus, per top-level period, a
 // CRC-32 fingerprint of the period's demand bins (the same
 // checkpoint.Float64sCRC family the Shapley delta engine and the
-// attribution cache key use) and the period's attributed carbon share.
+// attribution config fingerprint use) and the period's attributed carbon
+// share.
 // Update re-evaluates only the periods whose attribution can actually have
 // moved.
 //
